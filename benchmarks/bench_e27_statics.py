@@ -4,7 +4,7 @@
 its cost is paid on every CI run and every pre-commit invocation: the
 corpus-wide lock discovery plus per-function held-stack walk must stay a
 few seconds, not minutes.  This benchmark runs the full analyzer (lock
-discipline over ``src/`` and ``tools/`` plus the absorbed exactness
+discipline over ``src/`` plus the absorbed exactness
 checks) exactly as the CI gate does and records the wall-clock totals in
 the ``BENCH_results.json`` metrics block, so the analyzer's cost trends
 PR-over-PR.  It also gates the property the CI step relies on: the repo
@@ -20,7 +20,7 @@ from repro.statics.exactness import exactness_diagnostics, find_repo_root
 from repro.statics.locks import iter_python_files, lint_paths
 
 REPO = find_repo_root(Path(__file__).resolve().parent)
-LINT_ROOTS = [str(REPO / "src"), str(REPO / "tools")]
+LINT_ROOTS = [str(REPO / "src")]
 
 # The gate runs on every CI leg and locally before each merge; an analyzer
 # that stops being pure AST work (imports the code, enumerates worlds)

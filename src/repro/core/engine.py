@@ -571,6 +571,7 @@ class RandomWorlds:
             diagnostics={
                 "per_tolerance": belief.per_tolerance,
                 "atom_probabilities": belief.solution.probabilities if belief.solution else None,
+                "binding": belief.solution.binding() if belief.solution else {},
             },
             note=belief.note or "maximum entropy over atom proportions (Section 6)",
         )

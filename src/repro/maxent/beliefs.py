@@ -12,23 +12,36 @@ concentrates on atom-proportion vectors of maximum entropy, so for a unary KB
 * distinct constants are treated independently (Theorem 5.27), so queries that
   are Boolean combinations over several constants multiply out.
 
-The answer is computed along a shrinking tolerance sequence and the tau -> 0
-trend is checked, mirroring the outer limit of Definition 4.3.
+The answer is computed along a shrinking tolerance sequence, each tolerance
+warm-started from the previous one's multipliers, and the tau -> 0 trend is
+checked, mirroring the outer limit of Definition 4.3.  Where the query splits
+an evidence class whose maximum-entropy mass vanishes at the smallest
+tolerance, the conditional depends on how the tolerance reaches 0, and the
+limit is reported as not existing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..logic.substitution import constants_of, free_vars
 from ..logic.syntax import Formula, TRUE, conj, conjuncts
 from ..logic.tolerance import ToleranceVector, default_sequence
 from ..logic.vocabulary import Vocabulary
-from ..worlds.unary import UnsupportedFormula
+from ..worlds.unary import AtomTable, UnsupportedFormula
 from .atoms import atoms_satisfying
 from .constraints import extract_constraints
 from .solver import MaxEntSolution, solve
+
+# Below this maximum-entropy mass at the smallest tolerance, a constant's
+# evidence class is taken to vanish as tau -> 0.  Over the paper's KBs and the
+# corpus, evidence masses at the smallest default tolerance are either above
+# 1e-5 or below 1e-30 (the classes that the KB's statistics force empty).
+VANISHING_EVIDENCE = 1e-9
+
+# (query atoms, evidence atoms) for each constant a query mentions.
+AtomSets = List[Tuple[FrozenSet[int], FrozenSet[int]]]
 
 
 @dataclass(frozen=True)
@@ -78,14 +91,24 @@ def belief_from_solution(
     evidence: Dict[str, Formula],
 ) -> Optional[float]:
     """Degree of belief in ``query`` at a fixed max-entropy solution."""
+    return _belief(solution, _constant_atom_sets(query, solution.table, evidence))
+
+
+def _constant_atom_sets(query: Formula, table: AtomTable, evidence: Dict[str, Formula]) -> AtomSets:
+    """``(query atoms, evidence atoms)`` for each constant the query mentions."""
     constants = _query_constants(query)
-    per_constant = _split_query_by_constant(query, constants)
-    table = solution.table
-    value = 1.0
-    for constant, constant_query in per_constant.items():
+    atom_sets = []
+    for constant, constant_query in _split_query_by_constant(query, constants).items():
         known = evidence.get(constant, TRUE)
         known_atoms = atoms_satisfying(_about_variable(known, constant), table)
         query_atoms = atoms_satisfying(_about_variable(constant_query, constant), table)
+        atom_sets.append((query_atoms, known_atoms))
+    return atom_sets
+
+
+def _belief(solution: MaxEntSolution, atom_sets: AtomSets) -> Optional[float]:
+    value = 1.0
+    for query_atoms, known_atoms in atom_sets:
         conditional = solution.conditional(query_atoms, known_atoms)
         if conditional is None:
             return None
@@ -120,20 +143,35 @@ def degree_of_belief_maxent(
     tolerance_list = list(tolerances) if tolerances is not None else list(default_sequence())
     per_tolerance: List[Tuple[float, Optional[float]]] = []
     last_solution: Optional[MaxEntSolution] = None
-    values: List[Optional[float]] = []
+    atom_sets: Optional[AtomSets] = None
     for tolerance in tolerance_list:
         constraint_set = extract_constraints(knowledge_base, vocabulary, tolerance)
-        solution = solve(constraint_set)
-        value = belief_from_solution(query, solution, constraint_set.evidence)
-        per_tolerance.append((tolerance.max_tolerance, value))
-        values.append(value)
+        warm_start = last_solution.multipliers if last_solution is not None else None
+        solution = solve(constraint_set, warm_start=warm_start)
+        if atom_sets is None:
+            # The atom table and the evidence do not depend on the tolerance.
+            atom_sets = _constant_atom_sets(query, solution.table, constraint_set.evidence)
+        per_tolerance.append((tolerance.max_tolerance, _belief(solution, atom_sets)))
         last_solution = solution
 
     defined = [(tau, v) for (tau, v) in per_tolerance if v is not None]
     if last_solution is None or not defined:
         return MaxEntBelief(None, False, tuple(per_tolerance), last_solution, "undefined")
     final = defined[-1][1]
-    if len(defined) >= 2:
+    # An evidence class that the query splits leaves the conditional to the
+    # path of tau once its mass vanishes; one inside or outside the query's
+    # atoms gives 1 or 0 on every path.
+    evidence_mass = min(
+        (last_solution.probability_of(known) for queried, known in atom_sets if known & queried and known - queried),
+        default=1.0,
+    )
+    if evidence_mass < VANISHING_EVIDENCE:
+        exists = False
+        note = (
+            f"the evidence has maximum-entropy mass {evidence_mass:.2g} at tau = {per_tolerance[-1][0]:g}: "
+            "the conditional depends on how the tolerance reaches 0"
+        )
+    elif len(defined) >= 2:
         (tau_prev, value_prev), (tau_last, value_last) = defined[-2], defined[-1]
         drift = abs(value_last - value_prev)
         exists = drift <= stability

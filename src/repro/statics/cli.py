@@ -2,8 +2,8 @@
 
 Layer contract: path walking, pass selection, output format and exit-code
 policy only — findings come from :mod:`repro.statics.locks` (lock
-discipline, C6xx/C7xx) and :mod:`repro.statics.exactness` (the X00x checks
-absorbed from ``tools/lint_exactness.py``), so the CLI can never disagree
+discipline, C6xx/C7xx) and :mod:`repro.statics.exactness` (the X00x
+checks), so the CLI can never disagree
 with the library entry points the tests call directly.
 
 Where ``repro-lint`` analyzes the *knowledge bases* embedded in the code,

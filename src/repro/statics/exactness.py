@@ -1,7 +1,6 @@
 """Exactness lint as a pass of the code-analyzer framework.
 
-Layer contract: the checks that used to live in ``tools/lint_exactness.py``
-(that script is now a thin shim over this module), re-emitted as the shared
+Layer contract: the exactness checks, emitted as the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` model so `repro-lint-code`
 reports exactness and lock-discipline findings in one format, one registry,
 one ``--format json`` schema.
@@ -16,10 +15,6 @@ The checks are unchanged:
 * **X002** — the retired bare ``max_workers=N`` (N > 1) spelling without an
   explicit ``backend=`` in the same call, in Python sources under ``src/``
   and ``examples/`` and in fenced python blocks of README and ``docs/*.md``.
-
-:func:`main` preserves the original script's output and exit code exactly —
-``relpath:line:col X00n message`` lines plus the ``N exactness violation(s)``
-summary, exit 1 when anything fired.
 """
 
 from __future__ import annotations
@@ -171,17 +166,4 @@ def exactness_diagnostics(root: Optional[Path] = None) -> List[Diagnostic]:
     return findings
 
 
-def main(root: Optional[Path] = None) -> int:
-    """The legacy ``tools/lint_exactness.py`` entry point, byte-compatible."""
-    findings = exactness_diagnostics(root)
-    for finding in findings:
-        print(finding.format())
-    print(f"{len(findings)} exactness violation(s)")
-    return 1 if findings else 0
-
-
-__all__ = ["exactness_diagnostics", "find_repo_root", "main"]
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+__all__ = ["exactness_diagnostics", "find_repo_root"]

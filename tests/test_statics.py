@@ -16,8 +16,6 @@ Three layers of coverage:
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 import textwrap
 import threading
 from pathlib import Path
@@ -389,7 +387,7 @@ def test_instrumented_lock_behaves_like_a_lock():
 
 
 def test_repo_wide_lock_lint_is_clean():
-    findings = lint_paths([str(REPO / "src"), str(REPO / "tools")])
+    findings = lint_paths([str(REPO / "src")])
     assert findings == [], "\n".join(finding.format() for finding in findings)
 
 
@@ -480,7 +478,7 @@ def test_solver_state_first_store_wins_and_memoises():
 
 
 # --------------------------------------------------------------------------
-# CLIs: repro-lint-code, --format json, and the lint_exactness shim.
+# CLIs: repro-lint-code and --format json.
 # --------------------------------------------------------------------------
 
 
@@ -515,7 +513,7 @@ def test_lint_code_cli_json_output(tmp_path, capsys):
 
 
 def test_lint_code_cli_clean_run_exits_zero(capsys):
-    exit_code = lint_code_main([str(REPO / "src"), str(REPO / "tools"), "--no-exactness"])
+    exit_code = lint_code_main([str(REPO / "src"), "--no-exactness"])
     captured = capsys.readouterr()
     assert exit_code == 0
     assert "0 error(s), 0 warning(s)" in captured.out
@@ -534,14 +532,3 @@ def test_repro_lint_json_format(tmp_path, capsys):
     assert {"path", "line", "col", "code", "severity", "slug", "message"} <= set(rows[0])
     assert "error(s)" in captured.err
 
-
-def test_lint_exactness_shim_preserves_behaviour():
-    completed = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "lint_exactness.py")],
-        cwd=REPO,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(REPO / "src")},
-    )
-    assert completed.returncode == 0, completed.stdout + completed.stderr
-    assert completed.stdout.strip().endswith("0 exactness violation(s)")

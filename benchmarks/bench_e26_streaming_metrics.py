@@ -88,6 +88,20 @@ def test_e26_streamed_rows_are_byte_identical_to_query_batch(benchmark):
     assert [frozen(row) for row in streamed] == [frozen(row) for row in batch]
 
 
+def _cold_tail_requests():
+    """The stream of the incrementality gate: the first query as it was warmed,
+    then each later query with its own domain-size schedule.
+
+    A schedule the session has not seen is a different counting grid, so each
+    tail row enumerates its new domain size cold instead of re-evaluating the
+    warm-up's cached classes.
+    """
+    requests = [{"query": STREAM_QUERIES[0]}]
+    for offset, text in enumerate(STREAM_QUERIES[1:], start=1):
+        requests.append({"query": text, "domain_sizes": [*DOMAIN_SIZES[:-1], DOMAIN_SIZES[-1] + offset]})
+    return requests
+
+
 def test_e26_first_row_arrives_before_the_batch_finishes(benchmark):
     def timed_stream():
         manager = SessionManager(domain_sizes=DOMAIN_SIZES)
@@ -95,19 +109,19 @@ def test_e26_first_row_arrives_before_the_batch_finishes(benchmark):
             client = Client(server.url)
             session_id = client.open_session(paper_kbs.lottery(5))
             # Warm the first query only: its streamed row costs ~a memo hit,
-            # while the remaining seven are cold enumerations.  A per-row
-            # flush therefore puts the first row on the wire almost
-            # immediately; a buffer-until-done implementation would hold it
-            # until the cold tail finished.
+            # while the remaining seven enumerate a domain size the warm-up
+            # did not.  A per-row flush therefore puts the first row on the
+            # wire almost immediately; a buffer-until-done implementation
+            # would hold it until the cold tail finished.
             client.query(session_id, STREAM_QUERIES[0])
             start = time.perf_counter()
-            rows, arrivals = _raw_stream_rows(
-                server.url, session_id, [{"query": text} for text in STREAM_QUERIES]
-            )
+            rows, arrivals = _raw_stream_rows(server.url, session_id, _cold_tail_requests())
         return rows, [arrival - start for arrival in arrivals]
 
     rows, offsets = benchmark.pedantic(timed_stream, rounds=1, iterations=1)
     assert len(rows) == len(STREAM_QUERIES)
+    # The gate's premise: every tail row really enumerated something cold.
+    assert all(row["cache_delta"]["misses"] > 0 for row in rows[1:]), [row.get("cache_delta") for row in rows]
     first, total = offsets[0], offsets[-1]
     record_metric("e26_first_row_seconds", round(first, 6))
     record_metric("e26_stream_total_seconds", round(total, 6))

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..logic.substitution import constants_of, free_vars, substitute
 from ..logic.syntax import Const, Formula, TRUE, conjuncts
-from .entailment import GroundContext
+from .entailment import kb_entails_ground
 from .knowledge_base import KnowledgeBase, StatisticalAssertion
 from .result import BeliefResult
 
@@ -87,29 +88,32 @@ def _try_match(
     if mapped_constants & constants_of(statistic.condition):
         return None
 
-    # Condition: KB |= psi(c).  Literal membership of every conjunct of psi(c)
-    # in the KB settles it (and covers reference classes that are not ground
-    # propositional formulas, e.g. existentially quantified ones or nested
-    # defaults); otherwise fall back to the propositional entailment check.
     psi_ground = substitute(statistic.condition, mapping) if statistic.condition is not TRUE else TRUE
-    if psi_ground is not TRUE:
-        kb_sentences = set(knowledge_base.sentences)
-        literally_present = all(part in kb_sentences for part in conjuncts(psi_ground))
-        if not literally_present:
-            context = GroundContext(knowledge_base, sorted(constants_of(psi_ground)))
-            if not context.entails(psi_ground):
-                return None
 
     # Condition: the mapped constants appear nowhere else in the KB.
     # KB' is the KB with the conjuncts constituting psi(c) removed.
     psi_conjuncts = set(conjuncts(psi_ground)) if psi_ground is not TRUE else set()
+    source_conjuncts = set(conjuncts(statistic.source))
     for sentence in knowledge_base.sentences:
         if sentence in psi_conjuncts:
             continue
-        if sentence == statistic.source or sentence in set(conjuncts(statistic.source)):
+        if sentence == statistic.source or sentence in source_conjuncts:
             continue
         if mapped_constants & constants_of(sentence):
             return None
+
+    # Condition: KB |= psi(c).  Literal membership of every conjunct of psi(c)
+    # in the KB settles it (and covers reference classes that are not ground
+    # propositional formulas, e.g. existentially quantified ones or nested
+    # defaults); otherwise fall back to the propositional entailment check,
+    # whose verdict the KB keeps when psi(c) is about its own constants.
+    if psi_ground is not TRUE:
+        prepared = knowledge_base.prepared
+        if not all(part in prepared.sentence_set for part in conjuncts(psi_ground)):
+            entails = partial(kb_entails_ground, knowledge_base, psi_ground)
+            bounded = mapped_constants <= prepared.constants
+            if not (prepared.memo(("entails", psi_ground), entails) if bounded else entails()):
+                return None
 
     return DirectInferenceMatch(
         statistic=statistic,

@@ -559,7 +559,8 @@ class RandomWorlds:
         if not vocabulary.is_unary:
             return None
         try:
-            belief = degree_of_belief_maxent(query, kb.formula, vocabulary, tolerances=self._tolerances)
+            # The KB's prepared state solves each ladder once for all queries.
+            belief = degree_of_belief_maxent(query, kb, vocabulary, tolerances=self._tolerances)
         except (UnsupportedFormula, MaxEntInfeasible):
             return None
         if belief.value is None:

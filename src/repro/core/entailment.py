@@ -15,11 +15,17 @@ decided propositionally over the ground atoms involved, with single-variable
 universal conjuncts of the KB instantiated at the relevant constants.  Class
 relations are decided over the atoms of the unary vocabulary restricted by the
 KB's universal conjuncts.
+
+Everything here depends on the KB alone once the classes and constants are
+fixed, so the KB's prepared state (:mod:`repro.core.prepared`) keeps the
+premises per constant, the allowed atoms, the atom sets of the KB's reference
+classes and the verdicts about them over the KB's own atom table.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..logic.substitution import constants_of, free_vars, substitute
@@ -102,23 +108,16 @@ class GroundContext:
     """
 
     def __init__(self, knowledge_base: KnowledgeBase, constants: Sequence[str]):
-        premises: List[Formula] = []
-        for fact in knowledge_base.sentences:
-            if not free_vars(fact) and _is_propositional_candidate(fact):
-                premises.append(fact)
-        for universal in knowledge_base.universal_conjuncts():
-            body = universal.body
-            if free_vars(body) != {universal.variable}:
-                continue
-            for constant in constants:
-                instantiated = substitute(body, {universal.variable: Const(constant)})
-                if _is_propositional_candidate(instantiated):
-                    premises.append(instantiated)
-        self._premises = [p for p in premises if _collectable(p)]
+        prepared = knowledge_base.prepared
+        premises = list(prepared.memo(("premises",), partial(_fact_premises, knowledge_base)))
+        for constant in constants:
+            build = partial(_instantiated_premises, knowledge_base, constant)
+            premises.extend(prepared.memo(("premises", constant), build) if constant in prepared.constants else build())
+        self._premises = premises
 
     def entails(self, goal: Formula) -> bool:
         """Sound propositional entailment check of a ground goal."""
-        if not _collectable(goal):
+        if not _is_propositional_candidate(goal):
             return False
         atoms: Set[Tuple[str, Tuple[str, ...]]] = set()
         for premise in self._premises:
@@ -135,12 +134,27 @@ class GroundContext:
         return True
 
 
+def _fact_premises(knowledge_base: KnowledgeBase) -> Tuple[Formula, ...]:
+    """The KB's ground propositional conjuncts."""
+    return tuple(
+        fact for fact in knowledge_base.sentences if not free_vars(fact) and _is_propositional_candidate(fact)
+    )
+
+
+def _instantiated_premises(knowledge_base: KnowledgeBase, constant: str) -> Tuple[Formula, ...]:
+    """The KB's single-variable universals instantiated at ``constant``, where propositional."""
+    premises: List[Formula] = []
+    for universal in knowledge_base.universal_conjuncts():
+        body = universal.body
+        if free_vars(body) != {universal.variable}:
+            continue
+        instantiated = substitute(body, {universal.variable: Const(constant)})
+        if _is_propositional_candidate(instantiated):
+            premises.append(instantiated)
+    return tuple(premises)
+
+
 def _is_propositional_candidate(formula: Formula) -> bool:
-    atoms: Set[Tuple[str, Tuple[str, ...]]] = set()
-    return _ground_atoms(formula, atoms)
-
-
-def _collectable(formula: Formula) -> bool:
     atoms: Set[Tuple[str, Tuple[str, ...]]] = set()
     return _ground_atoms(formula, atoms)
 
@@ -158,6 +172,13 @@ def kb_entails_ground(knowledge_base: KnowledgeBase, goal: Formula) -> bool:
 
 def allowed_atoms(knowledge_base: KnowledgeBase, table: AtomTable) -> FrozenSet[int]:
     """Atoms not ruled out by the KB's single-variable universal conjuncts."""
+    prepared = knowledge_base.prepared
+    if prepared.owns(table):
+        return prepared.memo(("allowed-atoms",), lambda: _allowed_atoms(knowledge_base, table))
+    return _allowed_atoms(knowledge_base, table)
+
+
+def _allowed_atoms(knowledge_base: KnowledgeBase, table: AtomTable) -> FrozenSet[int]:
     allowed = set(range(table.num_atoms))
     for universal in knowledge_base.universal_conjuncts():
         body = universal.body
@@ -169,6 +190,21 @@ def allowed_atoms(knowledge_base: KnowledgeBase, table: AtomTable) -> FrozenSet[
             continue
         allowed &= set(satisfying)
     return frozenset(allowed)
+
+
+def _class_atoms(class_formula: Formula, knowledge_base: KnowledgeBase, table: AtomTable) -> Optional[FrozenSet[int]]:
+    """The allowed atoms of a single-variable class (``None`` outside the atom-set fragment)."""
+    prepared = knowledge_base.prepared
+
+    def build() -> Optional[FrozenSet[int]]:
+        try:
+            return atoms_satisfying(class_formula, table) & allowed_atoms(knowledge_base, table)
+        except UnsupportedFormula:
+            return None
+
+    if prepared.owns(table) and class_formula in prepared.classes:
+        return prepared.memo(("class-atoms", class_formula), build)
+    return build()
 
 
 def class_relation(
@@ -185,10 +221,9 @@ def class_relation(
     quantifier-free unary formulas over a single variable; anything else
     yields ``"other"``.
     """
-    try:
-        atoms_a = set(atoms_satisfying(class_a, table)) & set(allowed_atoms(knowledge_base, table))
-        atoms_b = set(atoms_satisfying(class_b, table)) & set(allowed_atoms(knowledge_base, table))
-    except UnsupportedFormula:
+    atoms_a = _class_atoms(class_a, knowledge_base, table)
+    atoms_b = _class_atoms(class_b, knowledge_base, table)
+    if atoms_a is None or atoms_b is None:
         return "other"
     if atoms_a <= atoms_b and atoms_b <= atoms_a:
         return "equal"
@@ -212,6 +247,26 @@ def entails_membership(
     atom-set route, which captures reasoning such as "EEJ(Eric) therefore
     EEJ(Eric) or FC(Eric)".
     """
+    prepared = knowledge_base.prepared
+
+    def build() -> bool:
+        return _entails_membership(knowledge_base, class_formula, constant, table)
+
+    if (
+        class_formula in prepared.classes
+        and constant in prepared.constants
+        and (table is None or prepared.owns(table))
+    ):
+        return prepared.memo(("membership", class_formula, constant, table is not None), build)
+    return build()
+
+
+def _entails_membership(
+    knowledge_base: KnowledgeBase,
+    class_formula: Formula,
+    constant: str,
+    table: Optional[AtomTable],
+) -> bool:
     variables = sorted(free_vars(class_formula))
     if len(variables) > 1:
         return False
@@ -223,9 +278,8 @@ def entails_membership(
         return True
     if table is None:
         return False
-    try:
-        class_atoms = set(atoms_satisfying(class_formula, table))
-    except UnsupportedFormula:
+    class_atoms = _class_atoms(class_formula, knowledge_base, table)
+    if class_atoms is None:
         return False
     known = knowledge_base.facts_about(constant)
     if not known:

@@ -11,7 +11,7 @@ counting and max-entropy engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..logic.parser import parse
 from ..logic.substitution import constants_of, free_vars
@@ -31,6 +31,9 @@ from ..logic.syntax import (
     iter_proportion_exprs,
 )
 from ..logic.vocabulary import Vocabulary
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .prepared import PreparedKB
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,12 @@ class StatisticalAssertion:
 
 
 class KnowledgeBase:
-    """An immutable collection of L≈ sentences interpreted conjunctively."""
+    """An immutable collection of L≈ sentences interpreted conjunctively.
+
+    What the inference routes derive from the KB alone (its structured views,
+    the analytic side conditions, the maximum-entropy ladders) is kept on its
+    :attr:`prepared` state, created on first use.
+    """
 
     def __init__(self, formulas: Iterable[Formula] = (), vocabulary: Optional[Vocabulary] = None):
         collected: List[Formula] = []
@@ -166,23 +174,38 @@ class KnowledgeBase:
         body = "\n  ".join(repr(f) for f in self._formulas)
         return f"KnowledgeBase(\n  {body}\n)"
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The prepared state holds a lock and is rebuilt on first use.
+        state = dict(self.__dict__)
+        state.pop("_prepared", None)
+        return state
+
+    @property
+    def prepared(self) -> "PreparedKB":
+        """The state derived from this KB alone, created on first use and kept
+        for the KB's lifetime (see :mod:`repro.core.prepared`)."""
+        prepared = self.__dict__.get("_prepared")
+        if prepared is None:
+            from .prepared import PreparedKB
+
+            # dict.setdefault on a str key is atomic: concurrent first uses
+            # agree on one instance.
+            prepared = self.__dict__.setdefault("_prepared", PreparedKB(self))
+        return prepared
+
     # -- structured views -----------------------------------------------------
 
     def ground_facts(self) -> Tuple[Formula, ...]:
         """Conjuncts that mention constants and no proportion expressions."""
-        facts = []
-        for formula in self._formulas:
-            if constants_of(formula) and not list(iter_proportion_exprs(formula)) and not _quantified(formula):
-                facts.append(formula)
-        return tuple(facts)
+        return self.prepared.ground_facts
 
     def facts_about(self, constant: str) -> Tuple[Formula, ...]:
         """Ground facts mentioning a particular constant."""
-        return tuple(f for f in self.ground_facts() if constant in constants_of(f))
+        return self.prepared.facts_about(constant)
 
     def universal_conjuncts(self) -> Tuple[Forall, ...]:
         """Top-level universally quantified conjuncts (taxonomic information)."""
-        return tuple(f for f in self._formulas if isinstance(f, Forall))
+        return self.prepared.universals
 
     def other_conjuncts(self) -> Tuple[Formula, ...]:
         """Conjuncts that are neither statistics, ground facts nor universals."""
@@ -196,42 +219,7 @@ class KnowledgeBase:
 
     def statistics(self) -> Tuple[StatisticalAssertion, ...]:
         """All statistical assertions, merging paired lower/upper bounds."""
-        point_or_single: List[StatisticalAssertion] = []
-        bounds: Dict[Tuple[Formula, Formula, Tuple[str, ...]], Dict[str, object]] = {}
-        for formula in self._formulas:
-            assertion = _parse_statistic(formula)
-            if assertion is None:
-                continue
-            key = (assertion.formula, assertion.condition, assertion.variables)
-            if assertion.is_point and assertion.low_index == assertion.high_index:
-                point_or_single.append(assertion)
-                continue
-            entry = bounds.setdefault(
-                key, {"low": 0.0, "high": 1.0, "low_index": None, "high_index": None, "source": []}
-            )
-            if assertion.low > float(entry["low"]):
-                entry["low"] = assertion.low
-                entry["low_index"] = assertion.low_index
-            if assertion.high < float(entry["high"]):
-                entry["high"] = assertion.high
-                entry["high_index"] = assertion.high_index
-            entry["source"].append(assertion.source)
-        merged: List[StatisticalAssertion] = list(point_or_single)
-        for (formula, condition, variables), entry in bounds.items():
-            sources = entry["source"]
-            merged.append(
-                StatisticalAssertion(
-                    formula=formula,
-                    condition=condition,
-                    variables=variables,
-                    low=float(entry["low"]),
-                    high=float(entry["high"]),
-                    low_index=entry["low_index"],
-                    high_index=entry["high_index"],
-                    source=conj(*sources),
-                )
-            )
-        return tuple(merged)
+        return self.prepared.statistics
 
     def defaults(self) -> Tuple[StatisticalAssertion, ...]:
         """The statistics that encode default rules (value ≈ 1 or ≈ 0)."""
@@ -245,6 +233,51 @@ class KnowledgeBase:
         """Conjuncts that mention none of the given constants."""
         excluded = set(constants)
         return tuple(f for f in self._formulas if not (constants_of(f) & excluded))
+
+
+def is_ground_fact(formula: Formula) -> bool:
+    """A conjunct that mentions constants and no proportion expressions."""
+    return bool(constants_of(formula)) and not list(iter_proportion_exprs(formula)) and not _quantified(formula)
+
+
+def merge_statistics(formulas: Iterable[Formula]) -> Tuple[StatisticalAssertion, ...]:
+    """The statistical assertions among ``formulas``, merging paired lower/upper bounds."""
+    point_or_single: List[StatisticalAssertion] = []
+    bounds: Dict[Tuple[Formula, Formula, Tuple[str, ...]], Dict[str, object]] = {}
+    for formula in formulas:
+        assertion = _parse_statistic(formula)
+        if assertion is None:
+            continue
+        key = (assertion.formula, assertion.condition, assertion.variables)
+        if assertion.is_point and assertion.low_index == assertion.high_index:
+            point_or_single.append(assertion)
+            continue
+        entry = bounds.setdefault(
+            key, {"low": 0.0, "high": 1.0, "low_index": None, "high_index": None, "source": []}
+        )
+        if assertion.low > float(entry["low"]):
+            entry["low"] = assertion.low
+            entry["low_index"] = assertion.low_index
+        if assertion.high < float(entry["high"]):
+            entry["high"] = assertion.high
+            entry["high_index"] = assertion.high_index
+        entry["source"].append(assertion.source)
+    merged: List[StatisticalAssertion] = list(point_or_single)
+    for (formula, condition, variables), entry in bounds.items():
+        sources = entry["source"]
+        merged.append(
+            StatisticalAssertion(
+                formula=formula,
+                condition=condition,
+                variables=variables,
+                low=float(entry["low"]),
+                high=float(entry["high"]),
+                low_index=entry["low_index"],
+                high_index=entry["high_index"],
+                source=conj(*sources),
+            )
+        )
+    return tuple(merged)
 
 
 def _quantified(formula: Formula) -> bool:

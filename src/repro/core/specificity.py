@@ -43,8 +43,7 @@ def _unary_atom_table(knowledge_base: KnowledgeBase) -> AtomTable:
     required to be single-variable formulas over unary predicates, so the
     subset/disjointness checks only need the unary part.
     """
-    vocabulary = knowledge_base.vocabulary
-    return AtomTable(vocabulary.unary_predicates)
+    return knowledge_base.prepared.table
 
 
 def _normalise(formula: Formula, variable: str) -> Formula:
@@ -69,25 +68,7 @@ def relevant_statistics(
     query_class: Formula, knowledge_base: KnowledgeBase
 ) -> List[ReferenceClassStatistic]:
     """Statistics whose left-hand side is exactly the query property."""
-    relevant: List[ReferenceClassStatistic] = []
-    for statistic in knowledge_base.statistics():
-        if len(statistic.variables) != 1:
-            continue
-        try:
-            formula = _rename_variable(statistic.formula, statistic.variables[0], SUBJECT_VARIABLE)
-            condition = _rename_variable(statistic.condition, statistic.variables[0], SUBJECT_VARIABLE)
-        except Exception:  # pragma: no cover - defensive
-            continue
-        if formula != query_class:
-            continue
-        relevant.append(
-            ReferenceClassStatistic(
-                statistic=statistic,
-                reference_class=condition,
-                interval=(statistic.low, statistic.high),
-            )
-        )
-    return relevant
+    return list(knowledge_base.prepared.statistics_by_property.get(query_class, ()))
 
 
 def _symbols_condition_holds(

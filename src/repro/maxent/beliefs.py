@@ -18,12 +18,17 @@ checked, mirroring the outer limit of Definition 4.3.  Where the query splits
 an evidence class whose maximum-entropy mass vanishes at the smallest
 tolerance, the conditional depends on how the tolerance reaches 0, and the
 limit is reported as not existing.
+
+The solutions along the ladder and the KB's evidence depend on the KB alone
+(:func:`solve_ladder`); a :class:`~repro.core.knowledge_base.KnowledgeBase`
+keeps them on its prepared state, so only the conditioning on the query's
+atoms is per-query work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..logic.substitution import constants_of, free_vars
 from ..logic.syntax import Formula, TRUE, conj, conjuncts
@@ -33,6 +38,9 @@ from ..worlds.unary import AtomTable, UnsupportedFormula
 from .atoms import atoms_satisfying
 from .constraints import extract_constraints
 from .solver import MaxEntSolution, solve
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.knowledge_base import KnowledgeBase
 
 # Below this maximum-entropy mass at the smallest tolerance, a constant's
 # evidence class is taken to vanish as tau -> 0.  Over the paper's KBs and the
@@ -53,6 +61,44 @@ class MaxEntBelief:
     per_tolerance: Tuple[Tuple[float, Optional[float]], ...]
     solution: MaxEntSolution
     note: str = ""
+
+
+@dataclass(frozen=True)
+class MaxEntLadder:
+    """The maximum-entropy points of a KB along a tolerance ladder.
+
+    ``rungs`` pairs each tolerance vector's largest tolerance with its
+    solution, in ladder order; ``evidence`` is the KB's ground facts per
+    constant.  Neither depends on a query.
+    """
+
+    rungs: Tuple[Tuple[float, MaxEntSolution], ...]
+    evidence: Dict[str, Formula]
+
+
+def solve_ladder(
+    knowledge_base: Formula,
+    vocabulary: Vocabulary,
+    tolerances: Sequence[ToleranceVector],
+) -> MaxEntLadder:
+    """Solve a unary KB at every tolerance of a ladder, each rung warm-started
+    from the previous rung's multipliers.
+
+    Raises :class:`UnsupportedFormula` when the KB falls outside the
+    max-entropy fragment and :class:`~repro.maxent.solver.MaxEntInfeasible`
+    when a rung's constraints admit no point.
+    """
+    rungs: List[Tuple[float, MaxEntSolution]] = []
+    evidence: Dict[str, Formula] = {}
+    last_solution: Optional[MaxEntSolution] = None
+    for tolerance in tolerances:
+        constraint_set = extract_constraints(knowledge_base, vocabulary, tolerance)
+        warm_start = last_solution.multipliers if last_solution is not None else None
+        last_solution = solve(constraint_set, warm_start=warm_start)
+        # The evidence does not depend on the tolerance.
+        evidence = constraint_set.evidence
+        rungs.append((tolerance.max_tolerance, last_solution))
+    return MaxEntLadder(tuple(rungs), evidence)
 
 
 def _query_constants(query: Formula) -> Tuple[str, ...]:
@@ -91,19 +137,28 @@ def belief_from_solution(
     evidence: Dict[str, Formula],
 ) -> Optional[float]:
     """Degree of belief in ``query`` at a fixed max-entropy solution."""
-    return _belief(solution, _constant_atom_sets(query, solution.table, evidence))
+    table = solution.table
+    return _belief(solution, _with_evidence(_query_atom_sets(query, table), table, evidence))
 
 
-def _constant_atom_sets(query: Formula, table: AtomTable, evidence: Dict[str, Formula]) -> AtomSets:
-    """``(query atoms, evidence atoms)`` for each constant the query mentions."""
+def _query_atom_sets(query: Formula, table: AtomTable) -> Dict[str, FrozenSet[int]]:
+    """The query's atoms for each constant it mentions; raises
+    :class:`UnsupportedFormula` for a query this route cannot answer."""
     constants = _query_constants(query)
-    atom_sets = []
-    for constant, constant_query in _split_query_by_constant(query, constants).items():
-        known = evidence.get(constant, TRUE)
-        known_atoms = atoms_satisfying(_about_variable(known, constant), table)
-        query_atoms = atoms_satisfying(_about_variable(constant_query, constant), table)
-        atom_sets.append((query_atoms, known_atoms))
-    return atom_sets
+    return {
+        constant: atoms_satisfying(_about_variable(constant_query, constant), table)
+        for constant, constant_query in _split_query_by_constant(query, constants).items()
+    }
+
+
+def _with_evidence(
+    query_atoms: Dict[str, FrozenSet[int]], table: AtomTable, evidence: Dict[str, Formula]
+) -> AtomSets:
+    """``(query atoms, evidence atoms)`` for each constant the query mentions."""
+    return [
+        (atoms, atoms_satisfying(_about_variable(evidence.get(constant, TRUE), constant), table))
+        for constant, atoms in query_atoms.items()
+    ]
 
 
 def _belief(solution: MaxEntSolution, atom_sets: AtomSets) -> Optional[float]:
@@ -129,30 +184,32 @@ def _about_variable(formula: Formula, constant: str) -> Formula:
 
 def degree_of_belief_maxent(
     query: Formula,
-    knowledge_base: Formula,
+    knowledge_base: Union[Formula, "KnowledgeBase"],
     vocabulary: Vocabulary,
     tolerances: Iterable[ToleranceVector] | None = None,
     stability: float = 2e-2,
 ) -> MaxEntBelief:
     """Compute ``Pr_infinity(query | KB)`` through the maximum-entropy connection.
 
-    Raises :class:`UnsupportedFormula` when the KB or query fall outside the
-    unary fragment this route supports; the top-level engine then falls back
-    to exact counting.
+    ``knowledge_base`` is the KB as one formula, or a
+    :class:`~repro.core.knowledge_base.KnowledgeBase`, whose prepared state
+    then solves each tolerance ladder once for all queries.  The query is
+    checked before any rung is solved.  Raises :class:`UnsupportedFormula`
+    when the KB or query fall outside the unary fragment this route
+    supports; the top-level engine then falls back to exact counting.
     """
     tolerance_list = list(tolerances) if tolerances is not None else list(default_sequence())
-    per_tolerance: List[Tuple[float, Optional[float]]] = []
-    last_solution: Optional[MaxEntSolution] = None
-    atom_sets: Optional[AtomSets] = None
-    for tolerance in tolerance_list:
-        constraint_set = extract_constraints(knowledge_base, vocabulary, tolerance)
-        warm_start = last_solution.multipliers if last_solution is not None else None
-        solution = solve(constraint_set, warm_start=warm_start)
-        if atom_sets is None:
-            # The atom table and the evidence do not depend on the tolerance.
-            atom_sets = _constant_atom_sets(query, solution.table, constraint_set.evidence)
-        per_tolerance.append((tolerance.max_tolerance, _belief(solution, atom_sets)))
-        last_solution = solution
+    if not vocabulary.is_unary:
+        raise UnsupportedFormula("max-entropy constraints require a unary vocabulary")
+    table = AtomTable.for_vocabulary(vocabulary)
+    query_atoms = _query_atom_sets(query, table)
+    if isinstance(knowledge_base, Formula):
+        ladder = solve_ladder(knowledge_base, vocabulary, tolerance_list)
+    else:
+        ladder = knowledge_base.prepared.maxent_ladder(vocabulary, tolerance_list)
+    atom_sets = _with_evidence(query_atoms, table, ladder.evidence)
+    per_tolerance = [(tau, _belief(solution, atom_sets)) for tau, solution in ladder.rungs]
+    last_solution = ladder.rungs[-1][1] if ladder.rungs else None
 
     defined = [(tau, v) for (tau, v) in per_tolerance if v is not None]
     if last_solution is None or not defined:

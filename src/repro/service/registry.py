@@ -243,7 +243,7 @@ class DefaultProblem:
 def _kb_rule_set(knowledge_base: KnowledgeBase) -> Tuple[RuleSet, Tuple[str, ...]]:
     """The KB-only half of the translation: rules plus hard constraints.
 
-    A pure function of the (immutable) KB, so sessions memoise it.
+    A pure function of the (immutable) KB, so the KB's prepared state keeps it.
     """
     rules: List[DefaultRule] = []
     labels: List[str] = []
@@ -308,11 +308,10 @@ def extract_default_problem(query: Formula, knowledge_base: KnowledgeBase) -> De
 
 
 def _session_problem(request: "QueryRequest", session: "BeliefSession") -> DefaultProblem:
-    """Like :func:`extract_default_problem`, with the KB half memoised per session."""
-    rule_set, labels = session.solver_state(
-        "defaults", "rule-set", lambda: _kb_rule_set(session.knowledge_base)
-    )
-    query_rule, constant = _query_rule(request.formula, session.knowledge_base)
+    """Like :func:`extract_default_problem`, with the KB half kept on the KB's prepared state."""
+    knowledge_base = session.knowledge_base
+    rule_set, labels = knowledge_base.prepared.memo(("defaults", "rule-set"), lambda: _kb_rule_set(knowledge_base))
+    query_rule, constant = _query_rule(request.formula, knowledge_base)
     return DefaultProblem(rule_set=rule_set, query_rule=query_rule, constant=constant, rule_labels=labels)
 
 
@@ -366,7 +365,9 @@ def _entailment_result(
 def _system_z_solve(request: "QueryRequest", session: "BeliefSession") -> BeliefResult:
     problem = _session_problem(request, session)
     # The ranking is a pure function of the session KB's rule set.
-    ranking = session.solver_state("defaults:system-z", "ranking", lambda: z_ranking(problem.rule_set))
+    ranking = session.knowledge_base.prepared.memo(
+        ("defaults:system-z", "ranking"), lambda: z_ranking(problem.rule_set)
+    )
     entails_query = ranking.entails(problem.query_rule.antecedent, problem.query_rule.consequent)
     entails_negation = ranking.entails(problem.query_rule.antecedent, Not(problem.query_rule.consequent))
     ranks = {rule.label or repr(rule): rank for rule, rank in ranking.rule_ranks.items()}
@@ -405,8 +406,8 @@ def _maxent_defaults_solve(request: "QueryRequest", session: "BeliefSession") ->
         return MaxEntDefaultReasoner(problem.rule_set)
 
     # The rule set is a pure function of the session's (immutable) KB, so one
-    # reasoner per session suffices — a constant state key makes the memo hit.
-    reasoner: MaxEntDefaultReasoner = session.solver_state("defaults:maxent", "reasoner", build)
+    # reasoner per KB suffices — a constant key makes the memo hit.
+    reasoner: MaxEntDefaultReasoner = session.knowledge_base.prepared.memo(("defaults:maxent", "reasoner"), build)
     inner = reasoner.degree_of_belief(problem.query_rule)
     return BeliefResult(
         value=inner.value,

@@ -27,7 +27,7 @@ import itertools
 import time
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .. import analysis as _analysis
 from ..analysis.diagnostics import AnalysisError
@@ -198,7 +198,6 @@ class BeliefSession:
         if consistency_check:
             check_consistency(self._kb)
         self._derived: "OrderedDict[Tuple, RandomWorlds]" = OrderedDict()
-        self._state: Dict[Tuple, Any] = {}
         self._lock = named_lock("BeliefSession._lock")
         self._request_ids = itertools.count(1)
         self._metrics = metrics
@@ -303,24 +302,6 @@ class BeliefSession:
             else:
                 self._derived.move_to_end(key)
             return derived
-
-    def solver_state(self, solver_key: str, state_key: Any, build: Callable[[], Any]) -> Any:
-        """Per-session memo for solver-owned warm state (built once per key).
-
-        ``build`` runs *outside* the session lock: it is arbitrary solver
-        code, and a build that re-enters the session (or takes long enough
-        to matter) must not hold up — or deadlock on — the non-reentrant
-        lock.  Concurrent first calls may therefore build twice; the first
-        store wins and the duplicate is discarded, which is sound because
-        solver state is a pure function of the KB and the key.
-        """
-        key = (solver_key, state_key)
-        with self._lock:
-            if key in self._state:
-                return self._state[key]
-        built = build()
-        with self._lock:
-            return self._state.setdefault(key, built)
 
     def _query_analysis(self, request: QueryRequest) -> Optional[List[Dict[str, Any]]]:
         """Per-query diagnostics for warn/strict sessions (``None`` when off).

@@ -20,7 +20,8 @@ The hierarchy, top (outermost) to bottom (leaf), mirrors the serving layers
    calls and its lock guards only the event list, never nesting),
 1. the HTTP session manager,
 2. the engine's shim-session map,
-3. the belief session's derived-engine/solver state,
+3. the belief session's derived-engine map, then a knowledge base's
+   prepared-state memo,
 4. the per-key in-flight build locks (memo before cache: a memoised query
    evaluation may trigger a class enumeration, never the reverse),
 5. the world-count cache, then its memo/program sub-caches,
@@ -48,6 +49,7 @@ LOCK_ORDER: Mapping[str, int] = {
     "SessionManager._lock": 10,
     "RandomWorlds._sessions_lock": 20,
     "BeliefSession._lock": 30,
+    "PreparedKB._lock": 35,
     "QueryMemoTable._inflight": 40,
     "_InFlight.lock": 42,
     "WorldCountCache._inflight": 44,

@@ -221,14 +221,29 @@ class TestRegistryDispatch:
         with pytest.raises(UnsupportedRequest):
             session.submit(QueryRequest(query="Fly(Tweety)", method="defaults:system-z"))
 
-    def test_defaults_solvers_memoise_kb_work_per_session(self):
-        """The rule set and Z-ranking are derived from the KB once per session."""
+    def test_defaults_solvers_memoise_kb_work_per_session(self, monkeypatch):
+        """The rule set and Z-ranking are derived from the KB once per session
+        (they live on the session KB's prepared state)."""
+        from repro.service import registry
+
+        builds = {"rule-set": 0, "ranking": 0}
+        kb_rule_set, z_ranking = registry._kb_rule_set, registry.z_ranking
+
+        def counted_rule_set(knowledge_base):
+            builds["rule-set"] += 1
+            return kb_rule_set(knowledge_base)
+
+        def counted_ranking(rule_set):
+            builds["ranking"] += 1
+            return z_ranking(rule_set)
+
+        monkeypatch.setattr(registry, "_kb_rule_set", counted_rule_set)
+        monkeypatch.setattr(registry, "z_ranking", counted_ranking)
         session = open_session(paper_kbs.tweety_fly())
         for _ in range(3):
             session.submit(QueryRequest(query="Fly(Tweety)", method="defaults:system-z"))
             session.submit(QueryRequest(query="Fly(Tweety)", method="defaults:epsilon"))
-        state_keys = sorted(key[0] for key in session._state)
-        assert state_keys == ["defaults", "defaults:system-z"]
+        assert builds == {"rule-set": 1, "ranking": 1}
 
     def test_defaults_solvers_refuse_unsatisfiable_contexts(self):
         """An impossible context vacuously entails everything; the solver must

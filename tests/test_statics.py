@@ -9,8 +9,8 @@ Three layers of coverage:
   ``named_lock``) and the declared ``LOCK_ORDER`` manifest;
 * the repo itself: a corpus-wide clean run (every real finding from the
   initial sweep is fixed or annotated), the named ``SessionManager``
-  acceptance invariant, the ``solver_state`` deadlock regression, and the
-  ``repro-lint-code`` / shim CLIs.
+  acceptance invariant, the build-outside-the-lock regression (now on the
+  prepared KB's memo), and the ``repro-lint-code`` / shim CLIs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import open_session
+from repro.core import KnowledgeBase
 from repro.statics.cli import main as lint_code_main
 from repro.statics.exactness import exactness_diagnostics
 from repro.statics.locks import LockLinter, lint_paths, lint_source
@@ -443,38 +443,47 @@ def test_manager_close_never_under_lock():
     assert [finding for finding in real if finding.code == "C601"] == []
 
 
-def test_solver_state_build_runs_outside_session_lock():
-    """Regression for the C601 the analyzer found in BeliefSession: a
-    ``build`` callback that re-enters the session used to deadlock on the
-    non-reentrant session lock (it ran under ``self._lock``)."""
-    with open_session("Bird(Tweety)") as session:
-        outcome = {}
+def test_prepared_memo_build_runs_outside_any_lock():
+    """Regression for the C601 the analyzer found in the solver-state memo
+    (first on ``BeliefSession``, now on the prepared KB): a ``build`` callback
+    that re-enters the memo used to deadlock on the non-reentrant lock (it
+    ran under it)."""
+    kb = KnowledgeBase.from_strings("Bird(Tweety)")
+    outcome = {}
 
-        def reentrant_build():
-            return session.solver_state("inner", "key", lambda: "leaf")
+    def reentrant_build():
+        return kb.prepared.memo("inner", lambda: "leaf")
 
-        def run():
-            outcome["value"] = session.solver_state("outer", "key", reentrant_build)
+    def run():
+        outcome["value"] = kb.prepared.memo("outer", reentrant_build)
 
-        worker = threading.Thread(target=run, daemon=True)
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive(), "solver_state deadlocked: build() ran under the session lock"
-        assert outcome["value"] == "leaf"
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "memo deadlocked: build() ran under the prepared KB's lock"
+    assert outcome["value"] == "leaf"
 
 
-def test_solver_state_first_store_wins_and_memoises():
-    with open_session("Bird(Tweety)") as session:
-        calls = []
+def test_prepared_memo_first_store_wins_and_memoises():
+    kb = KnowledgeBase.from_strings("Bird(Tweety)")
+    calls = []
 
-        def build():
-            calls.append(1)
-            return object()
+    def build():
+        calls.append(1)
+        return object()
 
-        first = session.solver_state("solver", "key", build)
-        second = session.solver_state("solver", "key", build)
-        assert first is second
-        assert len(calls) == 1
+    first = kb.prepared.memo("key", build)
+    second = kb.prepared.memo("key", build)
+    assert first is second
+    assert len(calls) == 1
+
+    # A build that finishes after another store of its key is discarded.
+    def loses_the_race():
+        kb.prepared.memo("raced", lambda: "first")
+        return "second"
+
+    assert kb.prepared.memo("raced", loses_the_race) == "first"
+    assert kb.prepared.memo("raced", build) == "first"
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """E20 — the process-pool backend parallelises exact counting across cores.
 
 The E18 counting scaling grid (hepatitis KB, N up to 60) is answered with the
-serial, thread and process backends.  The experiment asserts the probabilities
-are ``Fraction``-identical on every backend and — on hosts with >= 2 cores —
+serial and process backends.  The experiment asserts the probabilities are
+``Fraction``-identical on both backends and — on hosts with >= 2 cores —
 that the process pool beats the serial wall clock by >= 2x with >= 2 workers;
 this file also times an engine-level batch on the process backend to keep the
 end-to-end dispatch (grid points, not whole queries, go to the pool) honest.

@@ -5,9 +5,9 @@ per isomorphism class; the compiled kernel replaces that walk with a flat
 bitset program built once per ``(decomposition, query)`` pair and cached
 alongside the memo table.  This experiment gates the kernel both ways:
 Fraction-identical answers to the interpreted evaluator on every benchmark
-KB across all three backends (workers run the shipped program, never a local
-recompilation), and a >= 5x serial-throughput margin on the warm E18 grid.
-The measured compiled-vs-interpreted ratio is recorded in the
+KB across the serial and process backends (workers run the shipped program,
+never a local recompilation), and a >= 5x serial-throughput margin on the
+warm E18 grid.  The measured compiled-vs-interpreted ratio is recorded in the
 ``BENCH_results.json`` metrics block so the kernel's speedup trends
 PR-over-PR.
 """

@@ -42,13 +42,7 @@ from ..worlds.cache import (
 from ..worlds.counting import InconsistentKnowledgeBase
 from ..worlds.degrees import DEFAULT_DOMAIN_SIZES, degree_of_belief_by_counting
 from ..worlds.enumeration import EnumerationTooLarge, world_space_size
-from ..worlds.parallel import (
-    BACKENDS,
-    BackendLike,
-    CountingExecutor,
-    make_executor,
-    resolve_backend,
-)
+from ..worlds.parallel import BackendLike, CountingExecutor, make_executor
 from ..worlds.unary import UnsupportedFormula
 from .combination import combination_inference
 from .direct_inference import direct_inference
@@ -118,18 +112,14 @@ class RandomWorlds:
         for unbounded).
     backend:
         Execution backend for the exact-counting path: ``"serial"`` (the
-        default), ``"threads"`` (coarse thread fan-out of batch queries —
-        GIL-bound, latency hiding only), ``"processes"`` (each counting grid
-        point's enumeration is sharded across a persistent process pool —
-        true multi-core counting), or a
-        :class:`~repro.worlds.parallel.CountingExecutor` instance shared
-        between engines.  Answers are ``Fraction``-identical across
-        backends.  ``None`` means ``"serial"``; combining it with
-        ``max_workers > 1`` raises ``ValueError`` (the old implicit-threads
-        behaviour finished its deprecation cycle).
+        default), ``"processes"`` (each counting grid point's enumeration is
+        sharded across a persistent process pool — true multi-core
+        counting), or a :class:`~repro.worlds.parallel.CountingExecutor`
+        instance shared between engines.  Answers are ``Fraction``-identical
+        across backends.  ``None`` means ``"serial"``; combining it with
+        ``max_workers > 1`` raises ``ValueError``.
     max_workers:
-        Pool width for the chosen backend (and the default thread-pool width
-        for :meth:`degree_of_belief_batch`).
+        Process-pool width for the ``"processes"`` backend.
     compile:
         Compile each counting query into a flat per-decomposition program
         (the default).  ``False`` forces the interpreted recursive evaluator
@@ -186,8 +176,8 @@ class RandomWorlds:
             self._options = options
         else:
             # Route the legacy spellings through the same validation path
-            # (this is also what rejects bare max_workers > 1 with no
-            # explicit backend).
+            # (this is also what rejects unknown backends and bare
+            # max_workers > 1 with no explicit backend).
             self._options = EngineOptions.from_legacy(
                 backend=backend,
                 max_workers=max_workers,
@@ -217,8 +207,6 @@ class RandomWorlds:
             self._world_cache = WorldCountCache(memo=memo, memo_size=memo_size)
         else:
             self._world_cache = None
-        if isinstance(backend, str) and backend not in BACKENDS:
-            raise ValueError(f"unknown counting backend {backend!r}; expected one of {BACKENDS}")
         self._backend = backend
         self._max_workers = max_workers
         self._owned_executor: Optional[CountingExecutor] = None
@@ -330,7 +318,6 @@ class RandomWorlds:
         queries: Sequence[QueryLike],
         knowledge_base: KnowledgeBaseLike,
         method: str = "auto",
-        max_workers: Optional[int] = None,
     ) -> List[BeliefResult]:
         """Answer many queries against one knowledge base, sharing all per-KB work.
 
@@ -346,12 +333,7 @@ class RandomWorlds:
         containing repeated (or alpha-equivalent / reordered) queries answers
         the repeats in O(1) instead of re-walking the cached classes.
 
-        With the ``threads`` backend (or legacy ``max_workers > 1``) the
-        queries fan out over a thread pool; the cache is thread-safe and
-        serialises concurrent misses per grid point, so threads never
-        duplicate an enumeration — but the counting itself is pure CPU-bound
-        Python, so on CPython the GIL bounds the win.  With the
-        ``processes`` backend the query loop stays sequential and the
+        The query loop is sequential.  With the ``processes`` backend the
         counting work — not each query — goes to the engine's process pool:
         cold grid points shard their *enumeration* across workers, and warm
         keys whose cached decomposition is large ship *evaluation* shards
@@ -364,7 +346,7 @@ class RandomWorlds:
 
         kb = self._as_knowledge_base(knowledge_base)
         requests = [QueryRequest(query=self._as_query(query), method=method) for query in queries]
-        responses = self._shim_session(kb).submit_many(requests, max_workers=max_workers)
+        responses = self._shim_session(kb).submit_many(requests)
         return [response.result for response in responses]
 
     @property
@@ -437,13 +419,12 @@ class RandomWorlds:
     def _counting_executor(self) -> Optional[CountingExecutor]:
         """The executor handed to the counting path (``None`` = inline streaming).
 
-        Only shard-dispatching backends are passed down: thread fan-out
-        already happens at the batch level, and nesting both levels on one
-        pool would risk deadlock for zero speedup.
+        Only shard-dispatching backends are passed down; serial counting
+        streams inline.
         """
         if isinstance(self._backend, CountingExecutor):
             return self._backend if self._backend.dispatches_shards else None
-        if resolve_backend(self._backend, None) == "processes":
+        if self._backend == "processes":
             if self._owned_executor is None:
                 self._owned_executor = make_executor("processes", self._max_workers)
             return self._owned_executor

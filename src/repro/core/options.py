@@ -12,7 +12,7 @@ three surfaces cannot drift from the engine signature.
 Validation and normalisation live here and nowhere else:
 
 * ``EngineOptions(...)`` coerces every field (ints, tuples, backend names)
-  and rejects the retired ``max_workers > 1``-implies-threads spelling.
+  and rejects ``max_workers > 1`` without a backend to give the workers to.
 * :meth:`EngineOptions.from_dict` / :meth:`EngineOptions.to_dict` round-trip
   losslessly through JSON.
 * :meth:`EngineOptions.coerce_field` gives the wire layer per-key coercion
@@ -37,15 +37,6 @@ __all__ = [
     "add_engine_cli_arguments",
     "engine_options_from_args",
 ]
-
-
-# The one error message for the retired implied-threads spelling; tests and
-# docs match on the EngineOptions(backend="threads") fragment.
-LEGACY_THREADS_ERROR = (
-    "max_workers > 1 without an explicit backend no longer implies the "
-    'threads backend (removed after its deprecation cycle); pass '
-    'EngineOptions(backend="threads") or backend="threads" explicitly'
-)
 
 
 def _coerce_backend(value: Any) -> Optional[str]:
@@ -129,7 +120,7 @@ class EngineOptions:
             "wire": True,
             "flag": "--max-workers",
             "kind": "int",
-            "help": "worker-pool width for the threads/processes backends",
+            "help": "worker-pool width for the processes backend",
         },
     )
     memo: bool = field(
@@ -189,7 +180,10 @@ class EngineOptions:
         object.__setattr__(self, "domain_sizes", _coerce_domain_sizes(self.domain_sizes))
         object.__setattr__(self, "tolerances", _coerce_tolerances(self.tolerances))
         if self.backend is None and (self.max_workers or 0) > 1:
-            raise ValueError(LEGACY_THREADS_ERROR)
+            raise ValueError(
+                "max_workers > 1 needs an explicit counting backend; pass "
+                'backend="processes" for a worker pool'
+            )
 
     # -- construction -------------------------------------------------------
 

@@ -852,15 +852,15 @@ E20_WORKERS = max(2, min(4, os.cpu_count() or 1))
     slow=True,
 )
 def experiment_e20() -> List[ExperimentRow]:
-    """Serial vs threads vs processes on the E18 counting scaling grid.
+    """Serial vs processes on the E18 counting scaling grid.
 
-    The grid points are embarrassingly parallel but pure Python, so the
-    thread backend is GIL-bound; the process backend shards each grid
-    point's composition enumeration across workers and must (a) return
-    ``Fraction``-identical probabilities on every backend and (b) beat the
-    serial wall clock by >= 2x with >= 2 workers — on a multi-core host.  A
-    single-core host cannot show a wall-clock win, so there the speedup row
-    reports the measurement without gating on it.
+    The grid points are embarrassingly parallel but pure Python; the
+    process backend shards each grid point's composition enumeration across
+    workers and must (a) return ``Fraction``-identical probabilities to the
+    serial backend and (b) beat the serial wall clock by >= 2x with >= 2
+    workers — on a multi-core host.  A single-core host cannot show a
+    wall-clock win, so there the speedup row reports the measurement without
+    gating on it.
     """
     kb = paper_kbs.hepatitis_simple()
     query = parse("Hep(Eric)")
@@ -881,17 +881,13 @@ def experiment_e20() -> List[ExperimentRow]:
         return curve, time.perf_counter() - start
 
     serial_curve, serial_elapsed = timed_curve("serial")
-    thread_curve, thread_elapsed = timed_curve("threads")
     process_curve, process_elapsed = timed_curve("processes")
 
-    identical = (
-        serial_curve.probabilities == thread_curve.probabilities == process_curve.probabilities
-    )
     rows = [
         boolean_row(
-            "serial, thread and process backends agree to the exact Fraction",
+            "serial and process backends agree to the exact Fraction",
             True,
-            identical,
+            serial_curve.probabilities == process_curve.probabilities,
             method="parallel",
         )
     ]
@@ -910,7 +906,6 @@ def experiment_e20() -> List[ExperimentRow]:
     speedup = serial_elapsed / process_elapsed if process_elapsed > 0 else float("inf")
     measured = (
         f"{speedup:.1f}x (serial {serial_elapsed * 1000:.0f} ms, "
-        f"threads {thread_elapsed * 1000:.0f} ms, "
         f"processes {process_elapsed * 1000:.0f} ms, {E20_WORKERS} workers, {cpus} cores)"
     )
     if required is None:
@@ -1451,7 +1446,7 @@ def experiment_e24() -> List[ExperimentRow]:
     *Identity*: on every benchmark knowledge base, evaluating the standard
     query through the compiled kernel must produce ``(satisfying_kb,
     satisfying_both)`` pairs exactly equal to the interpreted recursive
-    evaluator — across the serial, threads and processes backends (workers
+    evaluator — across the serial and processes backends (workers
     run the shipped program, never a local recompilation).  Queries the
     compiler does not cover fall back to the interpreted walk, so the
     comparison is total.
@@ -1469,7 +1464,7 @@ def experiment_e24() -> List[ExperimentRow]:
 
     mismatches = []
     compiled_names = []
-    for backend in ("serial", "threads", "processes"):
+    for backend in ("serial", "processes"):
         with executor_scope(backend, 2) as executor:
             for name, factory, query_text in suite:
                 kb = factory()
@@ -1503,7 +1498,7 @@ def experiment_e24() -> List[ExperimentRow]:
     rows = [
         boolean_row(
             "compiled answers are Fraction-identical to the interpreted evaluator "
-            "on every benchmark KB across serial/threads/processes",
+            "on every benchmark KB across serial/processes",
             True,
             not mismatches,
             method="compile",

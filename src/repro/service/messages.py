@@ -209,11 +209,10 @@ class CacheDelta:
     """World-count cache / query-memo counter movement caused by one request.
 
     Attribution is exact: the session installs a per-request
-    :class:`~repro.worlds.cache.CacheEventLog` around each solve (propagated
-    onto worker threads when one request fans grid points out), so a request
-    is charged precisely the events its own evaluation caused even under
-    concurrent ``submit`` calls.  :meth:`between` remains for comparing two
-    :class:`~repro.worlds.cache.CacheInfo` snapshots taken by the caller.
+    :class:`~repro.worlds.cache.CacheEventLog` around each solve, so a
+    request is charged precisely the events its own evaluation caused even
+    under concurrent ``submit`` calls.  :meth:`between` remains for comparing
+    two :class:`~repro.worlds.cache.CacheInfo` snapshots taken by the caller.
     """
 
     hits: int = 0

@@ -39,7 +39,6 @@ from ..obs import MetricsRegistry
 from ..statics.runtime import named_lock
 from ..worlds.cache import CacheEventLog, CacheInfo, tracking_cache_events, vocabulary_fingerprint
 from ..worlds.counting import InconsistentKnowledgeBase
-from ..worlds.parallel import CountingExecutor, executor_scope, resolve_backend
 from .messages import BeliefResponse, CacheDelta, ErrorResponse, QueryRequest
 from .registry import SolverRegistry, UnsupportedRequest, default_registry
 
@@ -271,11 +270,7 @@ class BeliefSession:
         return QueryRequest(query=request)
 
     def _with_id(self, request: QueryRequest) -> QueryRequest:
-        """Assign the next sequential request id unless the caller chose one.
-
-        Ids are assigned before any fan-out so they follow request order even
-        when a batch answers on a thread pool.
-        """
+        """Assign the next sequential request id unless the caller chose one."""
         if request.request_id:
             return request
         return replace(request, request_id=f"q{next(self._request_ids)}")
@@ -327,11 +322,10 @@ class BeliefSession:
         """Answer one request through the solver its ``method`` key names.
 
         The response's ``cache_delta`` is attributed exactly: the solve runs
-        under a per-request :class:`~repro.worlds.cache.CacheEventLog`
-        (propagated onto worker threads when this one request fans grid
-        points out), so concurrent ``submit`` calls never charge each other's
-        cache traffic — the racy before/after ``cache_info()`` snapshot pair
-        this replaces did.
+        under a per-request :class:`~repro.worlds.cache.CacheEventLog`, so
+        concurrent ``submit`` calls never charge each other's cache traffic —
+        the racy before/after ``cache_info()`` snapshot pair this replaces
+        did.
         """
         request = self._with_id(self._as_request(request))
         analysis_notes = self._query_analysis(request)
@@ -384,32 +378,14 @@ class BeliefSession:
         if log.fallback:
             self._evaluations_total.labels(mode="fallback").inc(log.fallback)
 
-    def submit_many(
-        self,
-        requests: Sequence[RequestLike],
-        max_workers: Optional[int] = None,
-    ) -> List[BeliefResponse]:
-        """Answer many requests, sharing all per-KB warm state.
+    def submit_many(self, requests: Sequence[RequestLike]) -> List[BeliefResponse]:
+        """Answer many requests in order, sharing all per-KB warm state.
 
-        With the ``threads`` backend the requests fan out over a thread pool;
-        with ``processes`` the request loop stays sequential and the counting
-        layer shards across the engine's process pool; otherwise the loop is
-        serial.  Passing ``max_workers > 1`` on an engine with no explicit
-        backend raises ``ValueError`` (the old implicit-threads spelling was
-        removed — configure ``EngineOptions(backend="threads")``).  Responses
-        come back in request order.
+        The request loop is sequential; with the ``processes`` backend the
+        counting layer shards across the engine's process pool.  Every
+        request gets its id before the first one runs.
         """
         items = [self._with_id(self._as_request(request)) for request in requests]
-        engine = self._engine
-        workers = max_workers if max_workers is not None else engine.max_workers
-        supplied = isinstance(engine.backend, CountingExecutor)
-        resolved = resolve_backend(engine.backend.name if supplied else engine.backend, workers)
-        if resolved == "threads" and len(items) > 1:
-            # A caller-supplied executor instance is used as-is (its pool and
-            # width belong to the caller); a string spec builds a per-call
-            # pool that executor_scope shuts down on exit.
-            with executor_scope(engine.backend if supplied else "threads", workers) as executor:
-                return executor.map_ordered(self.submit, items)
         return [self.submit(item) for item in items]
 
     def stream(

@@ -216,8 +216,8 @@ class RecordingSession:
         )
         return response
 
-    def submit_many(self, requests: Sequence[Any], max_workers: Optional[int] = None) -> List[BeliefResponse]:
-        responses = self.session.submit_many(requests, max_workers=max_workers)
+    def submit_many(self, requests: Sequence[Any]) -> List[BeliefResponse]:
+        responses = self.session.submit_many(requests)
         self.recorder.record(
             "query_batch",
             self.tenant,

@@ -32,14 +32,12 @@ from .parallel import (
     PartialDecomposition,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     WorkUnit,
     compute_shard,
     executor_scope,
     make_executor,
     merge_counts,
     merge_partials,
-    resolve_backend,
 )
 from .degrees import (
     CountingCurve,

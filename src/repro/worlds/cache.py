@@ -13,8 +13,8 @@ enumerates each ``(N, tau)`` grid point once and afterwards only re-evaluates
 the query formula on the cached KB-satisfying classes.  Invalidation is
 structural: changing the knowledge base, the vocabulary, the domain size or
 the tolerance vector changes the key, so stale entries can never be returned.
-The cache is a bounded LRU and is safe to share between threads (the batch
-API may fan counting out with ``concurrent.futures``).
+The cache is a bounded LRU and is safe to share between threads (the HTTP
+server answers concurrent requests against one session's cache).
 
 :class:`QueryMemoTable` is the second memoisation layer: finished per-query
 counts keyed by ``(decomposition key, canonical query, tolerance)``, so an
@@ -366,10 +366,8 @@ class CacheEventLog:
     also records into it, so a request is charged exactly the events its
     own evaluation caused, under any interleaving.
 
-    The log's own lock is a leaf: it is the *same object* that
-    :class:`~repro.worlds.parallel.ThreadExecutor` re-installs on its pool
-    threads when one request fans grid points out across workers, so
-    ``record`` must be safe under concurrent calls.
+    The log's own lock is a leaf, so ``record`` stays safe should two
+    threads ever charge the same log.
     """
 
     __slots__ = (
@@ -424,8 +422,8 @@ def tracking_cache_events(log: CacheEventLog) -> Iterator[CacheEventLog]:
     """Attribute this thread's cache events to ``log`` for the block's duration.
 
     Re-entrant in the save/restore sense: the previous log (if any) is
-    restored on exit, so a ``submit_many`` fan-out whose pool threads each
-    install their own per-request log nests correctly.
+    restored on exit, so nested per-request logs on one thread unwind
+    correctly.
     """
     previous = active_event_log()
     _ACTIVE_EVENT_LOG.log = log
@@ -921,8 +919,8 @@ class WorldCountCache:
 
         Concurrent misses on the same key are serialised by :meth:`computing`'s
         per-key in-flight lock, so one thread enumerates while the others wait
-        and then re-use its result — a batch fanned out over a thread pool
-        never duplicates the expensive enumeration.  ``should_store`` lets
+        and then re-use its result — concurrent requests never duplicate the
+        expensive enumeration.  ``should_store`` lets
         callers skip storing pathologically large decompositions while still
         returning them; such keys are negative-cached (:meth:`store_oversized`)
         so later callers recompute concurrently, without the lock.

@@ -8,17 +8,15 @@ double limit.  It is slower than the max-entropy and closed-form engines in
 being unary (or tiny, for the brute-force path).
 
 All entry points accept an optional :class:`~repro.worlds.cache.WorldCountCache`
-and a ``backend`` (``"serial"`` / ``"threads"`` / ``"processes"``, or a
+and a ``backend`` (``"serial"`` / ``"processes"``, or a
 :class:`~repro.worlds.parallel.CountingExecutor` instance).  With a cache, the
 KB class decomposition for each ``(N, tau)`` grid point is enumerated at most
 once across every query sharing it; a cache constructed with ``memo=True``
 further memoises the finished counts per ``(grid point, canonical query)`` so
-identical repeated queries are O(1).  The ``threads`` backend fans the
-per-domain-size counts out over a thread pool (latency hiding only — the
-counting is GIL-bound), while ``processes`` shards each grid point's
-enumeration — and, on warm caches with large decompositions, each query's
-*evaluation* — across worker processes for true multi-core counting.  Answers
-are ``Fraction``-identical across all backends and memo settings.
+identical repeated queries are O(1).  The ``processes`` backend shards each
+grid point's enumeration — and, on warm caches with large decompositions, each
+query's *evaluation* — across worker processes for true multi-core counting.
+Answers are ``Fraction``-identical across backends and memo settings.
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ from ..logic.syntax import Formula
 from ..logic.tolerance import ToleranceVector, default_sequence
 from ..logic.vocabulary import Vocabulary
 from .cache import WorldCountCache
-from .counting import CountResult, make_counter
+from .counting import make_counter
 from .limits import DoubleLimitEstimate, estimate_double_limit
-from .parallel import BackendLike, executor_scope, resolve_backend
+from .parallel import BackendLike, executor_scope
 
 
 DEFAULT_DOMAIN_SIZES: Tuple[int, ...] = (8, 12, 16, 24, 32)
@@ -102,21 +100,17 @@ def counting_curve(
 ) -> CountingCurve:
     """``Pr^tau_N`` for several domain sizes at a fixed tolerance vector.
 
-    ``backend`` selects the execution strategy: ``"threads"`` computes the
-    domain sizes concurrently on a thread pool (GIL-limited — latency hiding,
-    not a CPU speedup), ``"processes"`` keeps this loop serial but shards
-    each grid point's enumeration (and each warm query's evaluation over a
-    large cached decomposition) across worker processes, and ``"serial"``
-    runs everything inline.  ``max_workers`` sets the pool width; setting it
-    above 1 without an explicit backend is an error (the old threads
-    implication was removed after its deprecation cycle — pass
-    ``backend="threads"``).  The counter's cache (when given) is thread-safe
-    and serialises concurrent misses per grid point, so each decomposition is
-    enumerated exactly once whichever backend runs; a cache with an attached
-    :class:`~repro.worlds.cache.QueryMemoTable` additionally serves repeated
-    queries against it in O(1).
+    ``backend`` selects the execution strategy: ``"processes"`` keeps this
+    loop serial but shards each grid point's enumeration (and each warm
+    query's evaluation over a large cached decomposition) across worker
+    processes, and ``"serial"`` (or ``None``) runs everything inline.
+    ``max_workers`` sets the process-pool width.  The counter's cache (when
+    given) is thread-safe and serialises concurrent misses per grid point, so
+    each decomposition is enumerated exactly once whichever backend runs; a
+    cache with an attached :class:`~repro.worlds.cache.QueryMemoTable`
+    additionally serves repeated queries against it in O(1).
     """
-    with executor_scope(resolve_backend(backend, max_workers), max_workers) as executor:
+    with executor_scope(backend, max_workers) as executor:
         counter = make_counter(
             vocabulary,
             prefer_unary=prefer_unary,
@@ -124,13 +118,9 @@ def counting_curve(
             executor=executor if executor.dispatches_shards else None,
             compile_queries=compile_queries,
         )
-
-        def at_size(domain_size: int) -> Optional[Fraction]:
-            result: CountResult = counter.count(query, knowledge_base, domain_size, tolerance)
-            return result.probability if result.is_defined else None
-
-        probabilities = executor.map_ordered(at_size, list(domain_sizes))
-    return CountingCurve(tolerance, tuple(domain_sizes), tuple(probabilities))
+        results = [counter.count(query, knowledge_base, n, tolerance) for n in domain_sizes]
+    probabilities = tuple(result.probability if result.is_defined else None for result in results)
+    return CountingCurve(tolerance, tuple(domain_sizes), probabilities)
 
 
 def degree_of_belief_by_counting(
@@ -164,11 +154,9 @@ def degree_of_belief_by_counting(
         Optional shared :class:`WorldCountCache`; repeated queries against the
         same KB then skip the class enumeration at every grid point.
     max_workers:
-        Pool width for the chosen backend.  Setting it above 1 without an
-        explicit ``backend`` raises ``ValueError`` (the old implicit-threads
-        behaviour was removed after its deprecation cycle).
+        Process-pool width for the ``"processes"`` backend.
     backend:
-        ``"serial"`` / ``"threads"`` / ``"processes"`` or a
+        ``"serial"`` / ``"processes"`` or a
         :class:`~repro.worlds.parallel.CountingExecutor`; one executor (and
         process pool) is shared across the whole tolerance ladder.
     compile_queries:
@@ -180,7 +168,7 @@ def degree_of_belief_by_counting(
     tolerance_list = list(tolerances) if tolerances is not None else list(default_sequence())
     curves: List[CountingCurve] = []
     inner_sequences: List[Tuple[float, Sequence[float], Sequence[int]]] = []
-    with executor_scope(resolve_backend(backend, max_workers), max_workers) as executor:
+    with executor_scope(backend, max_workers) as executor:
         for tolerance in tolerance_list:
             curve = counting_curve(
                 query,

@@ -3,14 +3,12 @@
 Counting ``Pr^tau_N(phi | KB)`` over a grid of ``(N, tau)`` points is
 embarrassingly parallel, but the counters are pure Python, so fanning the work
 over threads gains nothing on CPython: the GIL serialises the arithmetic.
-This module supplies a :class:`CountingExecutor` abstraction with three
+This module supplies a :class:`CountingExecutor` abstraction with two
 interchangeable backends:
 
 * ``serial`` — everything inline (the reference semantics);
-* ``threads`` — a thread pool for coarse fan-out (curve domain sizes, batch
-  queries); useful for latency hiding, not for CPU speedups;
 * ``processes`` — a process pool fed picklable :class:`WorkUnit` shards, the
-  only backend that uses multiple cores for the counting itself.
+  backend that uses multiple cores for the counting itself.
 
 A work unit is one ``(vocabulary, KB, N, tau)`` grid point plus a
 *compositions-range shard*: the outer enumeration (atom-count compositions for
@@ -23,7 +21,7 @@ so class order matches a serial enumeration exactly — into one
 :class:`~repro.worlds.cache.WorldCountCache`.  Workers never touch the cache;
 all cache bookkeeping (including the in-flight lock protocol and the
 oversized negative-cache) happens in the parent process, so answers and
-``CacheInfo`` totals are identical across all three backends.
+``CacheInfo`` totals are identical across both backends.
 
 Work units come in a second flavour since PR 3: *evaluation* units ship a
 contiguous block of an already-cached decomposition's classes (plus the query
@@ -37,19 +35,19 @@ the pure-Python class walk rather than the enumeration.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..logic.syntax import TRUE, Formula
 from ..logic.tolerance import ToleranceVector
 from ..logic.vocabulary import Vocabulary
 from . import counting as _counting
-from .cache import ClassDecomposition, active_event_log, tracking_cache_events
+from .cache import ClassDecomposition
 from .compile import CompiledQuery
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 # Grid points whose outer enumeration has fewer items than this run as a
 # single shard: dispatch and pickling would cost more than the split saves.
@@ -235,8 +233,7 @@ def merge_counts(partials: Sequence[PartialCount]) -> "_counting.CountResult":
 class CountingExecutor:
     """Execution backend for exact counting (base class doubles as ``serial``).
 
-    Subclasses override :meth:`run_units` (shard-level fan-out) and/or
-    :meth:`map_ordered` (coarse fan-out over domain sizes or batch queries).
+    Subclasses override :meth:`run_units` (shard-level fan-out).
     ``dispatches_shards`` is True only for backends whose :meth:`decompose`
     actually sends work units to a pool; the counters consult it to decide
     between the streaming count path and the decompose-then-evaluate path.
@@ -255,10 +252,6 @@ class CountingExecutor:
         return self._max_workers
 
     # -- fan-out primitives ----------------------------------------------------
-
-    def map_ordered(self, function: Callable, items: Sequence) -> List:
-        """Apply ``function`` to ``items``, preserving order."""
-        return [function(item) for item in items]
 
     def run_units(self, units: Sequence[WorkUnit]) -> List[Union[PartialDecomposition, PartialCount]]:
         """Compute every work unit, preserving shard order."""
@@ -451,60 +444,11 @@ class SerialExecutor(CountingExecutor):
         return 1
 
 
-class ThreadExecutor(CountingExecutor):
-    """Coarse fan-out over a thread pool.
-
-    Threads cannot speed up the pure-Python counting itself (the GIL keeps
-    one core busy), so this backend parallelises at the curve/batch level via
-    :meth:`map_ordered` and leaves grid-point decomposition inline — fanning
-    shards out to GIL-bound threads would only add overhead, and nesting both
-    levels on one pool risks deadlock.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        super().__init__(max_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self._max_workers)
-        return self._pool
-
-    def map_ordered(self, function: Callable, items: Sequence) -> List:
-        if self._max_workers > 1 and len(items) > 1:
-            # When the calling thread is attributing cache events to a
-            # per-request log (one request fanning its grid points out),
-            # re-install the *same* log on the pool threads so the fanned
-            # work stays charged to the request that caused it.  When the
-            # caller has no log (e.g. submit_many fanning whole requests,
-            # where each submit installs its own), run the function as is.
-            log = active_event_log()
-            if log is not None:
-                inner = function
-
-                def function(item, _inner=inner, _log=log):
-                    with tracking_cache_events(_log):
-                        return _inner(item)
-
-            return list(self._ensure_pool().map(function, items))
-        return [function(item) for item in items]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 class ProcessExecutor(CountingExecutor):
     """Shard-level fan-out over a process pool: true multi-core counting.
 
     Work units are pickled to workers, partial decompositions are pickled
-    back, and the merge + cache fold stays in the parent.  ``map_ordered``
-    deliberately runs inline — the coarse fan-out callables close over
-    engines and caches, which are not picklable, and the parallelism already
-    lives at the shard level.
+    back, and the merge + cache fold stays in the parent.
     """
 
     name = "processes"
@@ -533,32 +477,12 @@ class ProcessExecutor(CountingExecutor):
 BackendLike = Union[str, CountingExecutor, None]
 
 
-def resolve_backend(backend: BackendLike, max_workers: Optional[int]) -> BackendLike:
-    """Resolve the default backend, rejecting the removed legacy implication.
-
-    ``max_workers > 1`` without an explicit backend used to imply threads
-    (deprecated in PR 4); that implication is now an error so the parallelism
-    knob can never silently change execution semantics.
-    """
-    if backend is None:
-        if (max_workers or 0) > 1:
-            raise ValueError(
-                "max_workers > 1 without an explicit backend no longer implies "
-                "the threads backend (removed after its deprecation cycle); pass "
-                'EngineOptions(backend="threads") or backend="threads" explicitly'
-            )
-        return "serial"
-    return backend
-
-
 def make_executor(backend: BackendLike, max_workers: Optional[int] = None) -> CountingExecutor:
     """Build (or pass through) the executor for a backend spec."""
     if isinstance(backend, CountingExecutor):
         return backend
     if backend is None or backend == "serial":
         return SerialExecutor()
-    if backend == "threads":
-        return ThreadExecutor(max_workers)
     if backend == "processes":
         return ProcessExecutor(max_workers)
     raise ValueError(f"unknown counting backend {backend!r}; expected one of {BACKENDS}")

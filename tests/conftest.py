@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -37,13 +38,13 @@ def pytest_addoption(parser) -> None:
 
     CI runs one matrix leg with ``--backend processes --backend-workers 2`` so
     the process pool is exercised with real multi-worker fan-out; by default
-    the suite covers all three backends with 2 workers.
+    the suite covers both backends with 2 workers.
     """
     parser.addoption(
         "--backend",
         action="store",
         default=None,
-        choices=("serial", "threads", "processes"),
+        choices=("serial", "processes"),
         help="restrict the cross-backend equality suite to one counting backend",
     )
     parser.addoption(
@@ -98,6 +99,33 @@ def exhaustive_counting_domain(
     return None
 
 
+# The concurrent tests stand in for the HTTP server's handler threads sharing
+# one session: more threads than cores, switching far more often than the
+# interpreter default (5 ms), and a bound on every wait so a deadlock in the
+# cache's in-flight protocol fails the test instead of hanging it.
+CONCURRENT_THREADS = max(12, (os.cpu_count() or 1) + 1)
+CONCURRENT_SWITCH_INTERVAL = 1e-5
+CONCURRENT_WAIT_SECONDS = 60.0
+
+
+def repeated_for_threads(items: list) -> list:
+    """``items`` repeated until every concurrent-leg thread has a job."""
+    return items * -(-CONCURRENT_THREADS // len(items))
+
+
+def run_concurrently(calls) -> list:
+    """Start every zero-argument call at once on a thread pool; results in order."""
+    previous_interval = sys.getswitchinterval()
+    sys.setswitchinterval(CONCURRENT_SWITCH_INTERVAL)
+    pool = ThreadPoolExecutor(max_workers=CONCURRENT_THREADS)
+    try:
+        futures = [pool.submit(call) for call in calls]
+        return [future.result(timeout=CONCURRENT_WAIT_SECONDS) for future in futures]
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+        sys.setswitchinterval(previous_interval)
+
+
 def pytest_configure(config) -> None:
     if config.getoption("--lock-graph") or os.environ.get("REPRO_LOCK_GRAPH"):
         # Enable before any fixture constructs the objects under test:
@@ -122,7 +150,7 @@ def pytest_sessionfinish(session, exitstatus) -> None:
 def pytest_generate_tests(metafunc) -> None:
     if "counting_backend" in metafunc.fixturenames:
         selected = metafunc.config.getoption("--backend")
-        backends = [selected] if selected else ["serial", "threads", "processes"]
+        backends = [selected] if selected else ["serial", "processes"]
         metafunc.parametrize("counting_backend", backends)
     if "corpus_scenario" in metafunc.fixturenames:
         # A deterministic sample of pairwise-distinct corpus KBs: the sweep

@@ -14,10 +14,13 @@ import dataclasses
 import inspect
 import json
 
+import pytest
+
 import repro.core as core
 import repro.obs as obs
 import repro.server as server
 import repro.service as service
+from repro.server.cli import build_parser as serve_parser
 
 # ---------------------------------------------------------------------------
 # Exported names
@@ -180,7 +183,7 @@ SIGNATURES = {
     ),
     (core.RandomWorlds, "degree_of_belief_batch"): (
         "(self, queries: 'Sequence[QueryLike]', knowledge_base: 'KnowledgeBaseLike', "
-        "method: 'str' = 'auto', max_workers: 'Optional[int]' = None) -> 'List[BeliefResult]'"
+        "method: 'str' = 'auto') -> 'List[BeliefResult]'"
     ),
     (core.RandomWorlds, "dispatch"): (
         "(self, query: 'QueryLike', knowledge_base: 'KnowledgeBaseLike', "
@@ -188,8 +191,7 @@ SIGNATURES = {
     ),
     (service.BeliefSession, "submit"): "(self, request: 'RequestLike') -> 'BeliefResponse'",
     (service.BeliefSession, "submit_many"): (
-        "(self, requests: 'Sequence[RequestLike]', "
-        "max_workers: 'Optional[int]' = None) -> 'List[BeliefResponse]'"
+        "(self, requests: 'Sequence[RequestLike]') -> 'List[BeliefResponse]'"
     ),
     (service.BeliefSession, "stream"): (
         "(self, requests: 'Iterable[RequestLike]', *, on_error: 'str' = 'respond') "
@@ -334,7 +336,7 @@ class TestEngineOptionsSchema:
 
 class TestEngineOptionsRoundTrip:
     OPTIONS = dict(
-        backend="threads",
+        backend="processes",
         max_workers=2,
         memo=False,
         memo_size=128,
@@ -371,7 +373,7 @@ class TestEngineOptionsRoundTrip:
         core.add_engine_cli_arguments(parser)
         args = parser.parse_args(
             [
-                "--backend", "threads",
+                "--backend", "processes",
                 "--max-workers", "2",
                 "--no-memo",
                 "--memo-size", "128",
@@ -382,6 +384,10 @@ class TestEngineOptionsRoundTrip:
         )
         provided = core.engine_options_from_args(args)
         assert core.EngineOptions.from_dict(provided) == core.EngineOptions(**self.OPTIONS)
+        # repro-serve refuses the removed threads backend with a usage error.
+        with pytest.raises(SystemExit) as excinfo:
+            serve_parser().parse_args(["--backend", 'threads'])
+        assert excinfo.value.code == 2
 
     def test_cli_defaults_provide_nothing(self):
         parser = argparse.ArgumentParser()

@@ -12,8 +12,11 @@ every *defined* grid point,
 with exact :class:`~fractions.Fraction` arithmetic — no tolerance for float
 drift.  Hypothesis draws a benchmark knowledge base and random queries over
 its vocabulary, and the whole suite runs identically with the query memo on
-and off and on all three counting backends (``--backend processes
---backend-workers 2`` pins it to real multi-process fan-out in CI).
+and off and on both counting backends (``--backend processes
+--backend-workers 2`` pins it to real multi-process fan-out in CI).  Concurrent
+legs run the law, memo and compiled-twin counts at once from a thread pool
+against one shared counter, as the HTTP server's handler threads do to a
+session.
 
 Every test here carries the ``metamorphic`` pytest marker, so
 ``pytest -m metamorphic`` selects exactly this oracle suite.
@@ -21,11 +24,12 @@ Every test here carries the ``metamorphic`` pytest marker, so
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import exhaustive_counting_domain
+from conftest import exhaustive_counting_domain, repeated_for_threads, run_concurrently
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_worlds_cache import BENCHMARK_KBS
@@ -91,21 +95,20 @@ def _query_strategy(vocabulary: Vocabulary):
     )
 
 
-# One shared counter per (backend, memo, KB): the decomposition is enumerated
+# One shared counter per (leg, memo, KB): the decomposition is enumerated
 # once and every hypothesis example after that only evaluates queries — which
 # is also exactly the warm path the memo and the evaluation shards cover.
 _CONTEXTS: dict = {}
 
 
-def _context(backend: str, memo: bool, entry, executor_for):
+def _context(leg: str, memo: bool, entry, executor):
     name, factory, query_text = entry
-    key = (backend, memo, name)
+    key = (leg, memo, name)
     found = _CONTEXTS.get(key)
     if found is None:
         kb = factory()
         vocabulary = kb.vocabulary.merge(Vocabulary.from_formulas([parse(query_text)]))
         domain_size = _metamorphic_domain_size(vocabulary)
-        executor = executor_for(backend)
         cache = WorldCountCache(memo=memo)
         counter = make_counter(
             vocabulary,
@@ -118,9 +121,32 @@ def _context(backend: str, memo: bool, entry, executor_for):
         # differential leg also pins that the two forms can serve each
         # other's rows without conflict.
         interpreted = make_counter(vocabulary, cache=cache, compile_queries=False)
-        found = (kb.formula, domain_size, counter, interpreted, executor)
+        found = (kb.formula, domain_size, counter, interpreted)
         _CONTEXTS[key] = found
     return found
+
+
+def _law_queries(phi, psi) -> list:
+    return [phi, Not(phi), psi, conj(phi, psi), disj(phi, Not(phi)), conj(phi, Not(phi))]
+
+
+def _assert_laws(results) -> None:
+    """The probability laws on the six counts of :func:`_law_queries`."""
+    r_phi, r_not_phi, r_psi, r_and, r_taut, r_contra = results
+    assert (
+        r_phi.satisfying_kb
+        == r_not_phi.satisfying_kb
+        == r_psi.satisfying_kb
+        == r_and.satisfying_kb
+    )
+    if not r_phi.is_defined:
+        return  # no world of this size satisfies the KB: undefined point
+    for result in results:
+        assert isinstance(result.probability, Fraction)
+    assert r_phi.probability + r_not_phi.probability == Fraction(1)
+    assert r_and.probability <= min(r_phi.probability, r_psi.probability)
+    assert r_taut.probability == Fraction(1)
+    assert r_contra.probability == Fraction(0)
 
 
 @pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
@@ -131,42 +157,49 @@ def _context(backend: str, memo: bool, entry, executor_for):
 )
 def test_probability_laws_hold_on_every_kb(counting_backend, memo, executor_for, data):
     entry = data.draw(st.sampled_from(BENCHMARK_KBS), label="kb")
-    kb_formula, domain_size, counter, _, executor = _context(
-        counting_backend, memo, entry, executor_for
+    kb_formula, domain_size, counter, _ = _context(
+        counting_backend, memo, entry, executor_for(counting_backend)
     )
     strategy = _query_strategy(counter.vocabulary)
     phi = data.draw(strategy, label="phi")
     psi = data.draw(strategy, label="psi")
 
     for n in {max(1, domain_size - 1), domain_size}:
-        # the thread backend fans the counts out concurrently (stressing the
-        # memo's in-flight protocol); serial/processes run them in order
-        results = executor.map_ordered(
-            lambda query: counter.count(query, kb_formula, n, TAU),
-            [
-                phi,
-                Not(phi),
-                psi,
-                conj(phi, psi),
-                disj(phi, Not(phi)),
-                conj(phi, Not(phi)),
-            ],
-        )
-        r_phi, r_not_phi, r_psi, r_and, r_taut, r_contra = results
-        assert (
-            r_phi.satisfying_kb
-            == r_not_phi.satisfying_kb
-            == r_psi.satisfying_kb
-            == r_and.satisfying_kb
-        )
-        if not r_phi.is_defined:
-            continue  # no world of this size satisfies the KB: undefined point
-        for result in results:
-            assert isinstance(result.probability, Fraction)
-        assert r_phi.probability + r_not_phi.probability == Fraction(1)
-        assert r_and.probability <= min(r_phi.probability, r_psi.probability)
-        assert r_taut.probability == Fraction(1)
-        assert r_contra.probability == Fraction(0)
+        _assert_laws([counter.count(query, kb_formula, n, TAU) for query in _law_queries(phi, psi)])
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
+@given(data=st.data())
+@settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_probability_laws_hold_under_concurrent_counts(memo, executor_for, data):
+    """The same law counts, all at once from a thread pool on one shared counter.
+
+    Every count of both domain sizes is submitted together (each repeated so
+    every thread has work), so the cache's and memo's in-flight protocols
+    see concurrent misses and hits on the same keys.
+    """
+    entry = data.draw(st.sampled_from(BENCHMARK_KBS), label="kb")
+    kb_formula, domain_size, counter, _ = _context(
+        "concurrent", memo, entry, executor_for("serial")
+    )
+    strategy = _query_strategy(counter.vocabulary)
+    phi = data.draw(strategy, label="phi")
+    psi = data.draw(strategy, label="psi")
+    sizes = sorted({max(1, domain_size - 1), domain_size})
+    queries = _law_queries(phi, psi)
+    jobs = repeated_for_threads([(n, query) for n in sizes for query in queries])
+    results = run_concurrently(
+        [functools.partial(counter.count, query, kb_formula, n, TAU) for n, query in jobs]
+    )
+
+    by_job = {}
+    for job, result in zip(jobs, results):
+        assert by_job.setdefault(job, result) == result  # repeats agree exactly
+    for n in sizes:
+        _assert_laws([by_job[(n, query)] for query in queries])
 
 
 # --------------------------------------------------------------------------
@@ -203,23 +236,7 @@ def _assert_probability_laws(scenario, data):
     phi = data.draw(strategy, label="phi")
     psi = data.draw(strategy, label="psi")
     for n in {max(1, domain_size - 1), domain_size}:
-        queries = [phi, Not(phi), psi, conj(phi, psi), disj(phi, Not(phi)), conj(phi, Not(phi))]
-        results = [counter.count(query, kb_formula, n, TAU) for query in queries]
-        r_phi, r_not_phi, r_psi, r_and, r_taut, r_contra = results
-        assert (
-            r_phi.satisfying_kb
-            == r_not_phi.satisfying_kb
-            == r_psi.satisfying_kb
-            == r_and.satisfying_kb
-        )
-        if not r_phi.is_defined:
-            continue  # no world of this size satisfies the KB: undefined point
-        for result in results:
-            assert isinstance(result.probability, Fraction)
-        assert r_phi.probability + r_not_phi.probability == Fraction(1)
-        assert r_and.probability <= min(r_phi.probability, r_psi.probability)
-        assert r_taut.probability == Fraction(1)
-        assert r_contra.probability == Fraction(0)
+        _assert_laws([counter.count(query, kb_formula, n, TAU) for query in _law_queries(phi, psi)])
 
 
 @pytest.mark.corpus
@@ -277,11 +294,36 @@ def test_probability_laws_hold_on_drawn_scenarios(coordinates, data):
 def test_memo_and_memoless_agree_exactly(counting_backend, memo, executor_for, data):
     """The memoised answer for any drawn query equals a fresh uncached count."""
     entry = data.draw(st.sampled_from(BENCHMARK_KBS), label="kb")
-    kb_formula, domain_size, counter, _, _ = _context(counting_backend, memo, entry, executor_for)
+    kb_formula, domain_size, counter, _ = _context(
+        counting_backend, memo, entry, executor_for(counting_backend)
+    )
     phi = data.draw(_query_strategy(counter.vocabulary), label="phi")
     memoised = counter.count(phi, kb_formula, domain_size, TAU)
     reference = make_counter(counter.vocabulary).count(phi, kb_formula, domain_size, TAU)
     assert memoised == reference
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
+@given(data=st.data())
+@settings(
+    deadline=None,
+    max_examples=25,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_memo_and_memoless_agree_under_concurrent_counts(memo, executor_for, data):
+    """Every racing count of a drawn query equals a fresh uncached count.
+
+    The first counts of a new query race for its memo row (or, memoless,
+    evaluate side by side) on the warm shared counter of the concurrent leg.
+    """
+    entry = data.draw(st.sampled_from(BENCHMARK_KBS), label="kb")
+    kb_formula, domain_size, counter, _ = _context(
+        "concurrent", memo, entry, executor_for("serial")
+    )
+    phi = data.draw(_query_strategy(counter.vocabulary), label="phi")
+    calls = repeated_for_threads([functools.partial(counter.count, phi, kb_formula, domain_size, TAU)])
+    reference = make_counter(counter.vocabulary).count(phi, kb_formula, domain_size, TAU)
+    assert run_concurrently(calls) == [reference] * len(calls)
 
 
 @pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
@@ -300,8 +342,8 @@ def test_compiled_and_interpreted_agree_exactly(counting_backend, memo, executor
     when the shared memo would otherwise hand the twin the compiled row.
     """
     entry = data.draw(st.sampled_from(BENCHMARK_KBS), label="kb")
-    kb_formula, domain_size, counter, interpreted, _ = _context(
-        counting_backend, memo, entry, executor_for
+    kb_formula, domain_size, counter, interpreted = _context(
+        counting_backend, memo, entry, executor_for(counting_backend)
     )
     phi = data.draw(_query_strategy(counter.vocabulary), label="phi")
     compiled_result = counter.count(phi, kb_formula, domain_size, TAU)
@@ -310,3 +352,31 @@ def test_compiled_and_interpreted_agree_exactly(counting_backend, memo, executor
         phi, kb_formula, domain_size, TAU
     )
     assert compiled_result == twin_result == reference
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
+@given(data=st.data())
+@settings(
+    deadline=None,
+    max_examples=25,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_compiled_and_interpreted_agree_under_concurrent_counts(memo, executor_for, data):
+    """The compiled counter and its interpreted twin race on the shared cache.
+
+    Half the threads count a drawn query compiled and half interpreted, so
+    with the memo on the two forms contend for one memo row; every answer
+    must equal a fresh cache-less interpreted count.
+    """
+    entry = data.draw(st.sampled_from(BENCHMARK_KBS), label="kb")
+    kb_formula, domain_size, counter, interpreted = _context(
+        "concurrent", memo, entry, executor_for("serial")
+    )
+    phi = data.draw(_query_strategy(counter.vocabulary), label="phi")
+    calls = repeated_for_threads(
+        [functools.partial(each.count, phi, kb_formula, domain_size, TAU) for each in (counter, interpreted)]
+    )
+    reference = make_counter(counter.vocabulary, compile_queries=False).count(
+        phi, kb_formula, domain_size, TAU
+    )
+    assert run_concurrently(calls) == [reference] * len(calls)

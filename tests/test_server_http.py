@@ -9,11 +9,13 @@ manager, no timing involved).
 
 from __future__ import annotations
 
+import functools
 import json
 import urllib.request
 from contextlib import ExitStack
 
 import pytest
+from conftest import CONCURRENT_THREADS, repeated_for_threads, run_concurrently
 
 from repro.core import KnowledgeBase
 from repro.logic.vocabulary import Vocabulary
@@ -106,6 +108,11 @@ class TestOpenSession:
         with pytest.raises(ServerError) as excinfo:
             client.open_session("P(A)", engine={"cache": False})
         assert excinfo.value.status == 400
+        # The removed threads backend is refused like any unknown backend.
+        with pytest.raises(ServerError) as excinfo:
+            client.open_session("P(A)", engine={"backend": 'threads'})
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad-request")
+        assert "('serial', 'processes')" in excinfo.value.message
 
     def test_missing_kb_field_is_400(self, client):
         with pytest.raises(ServerError) as excinfo:
@@ -190,6 +197,32 @@ class TestQuery:
         with pytest.raises(ServerError) as excinfo:
             client.call("GET", "/v2/nope")
         assert excinfo.value.status == 404
+
+
+# Between them, these KBs' queries and negations take the direct-inference,
+# maxent, combination and exact-counting routes.
+CONCURRENT_KBS = [
+    entry for entry in paper_kbs.benchmark_suite() if entry[0] in ("hepatitis_simple", "nixon_diamond", "lottery")
+]
+
+
+class TestConcurrentQueries:
+    @pytest.fixture(scope="class")
+    def wide_client(self):
+        # Admits every concurrent-leg thread at once, unlike the module server.
+        manager = SessionManager(max_inflight=CONCURRENT_THREADS, domain_sizes=TINY_DOMAINS)
+        with serve_in_background(manager) as running:
+            yield Client(running.url)
+
+    @pytest.mark.parametrize("name,factory,query_text", CONCURRENT_KBS, ids=[e[0] for e in CONCURRENT_KBS])
+    def test_concurrent_queries_match_in_process_answers(self, wide_client, name, factory, query_text):
+        """Handler threads answering one session at once serve the in-process answers."""
+        texts = repeated_for_threads([query_text, f"not ({query_text})"])
+        session_id = wide_client.open_session(factory())
+        served = run_concurrently([functools.partial(wide_client.query, session_id, text) for text in texts])
+        with open_session(factory(), domain_sizes=TINY_DOMAINS) as session:
+            expected = [session.submit(text).result for text in texts]
+        assert [response.result for response in served] == expected
 
 
 class TestQueryBatch:

@@ -292,9 +292,10 @@ class TestWireEngineOptions:
         assert options["max_workers"] == 2 and options["memo_size"] == 128
         assert options["memo"] is True
 
-    def test_bad_backend_is_rejected(self):
+    @pytest.mark.parametrize("backend", ['gpu', 'threads'])
+    def test_bad_backend_is_rejected(self, backend):
         with pytest.raises(ValueError, match="backend"):
-            normalise_engine_options({"backend": "gpu"})
+            normalise_engine_options({"backend": backend})
 
     def test_none_values_and_empty_payloads_are_dropped(self):
         assert normalise_engine_options(None) == {}

@@ -5,13 +5,18 @@ every counting backend and with the query memo on and off,
 ``BeliefSession.submit_many`` must produce exactly the answers — and exactly
 the cache counters — of the legacy ``degree_of_belief_batch``.  (Both
 surfaces now share one dispatch path; this suite is what keeps that true.)
+Its concurrent leg submits the same requests at once from a thread pool, as
+the HTTP server's handler threads do, and must answer and count exactly as
+submitting them in order does.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import pytest
+from conftest import repeated_for_threads, run_concurrently
 from test_worlds_cache import BENCHMARK_KBS
 
 from repro.core import EngineOptions, RandomWorlds, RandomWorldsError
@@ -79,6 +84,29 @@ def test_session_matches_legacy_batch(
     assert session.cache_info() == legacy_engine.cache_info()
     assert [r.request_id for r in responses] == ["q1", "q2", "q3"]
     assert all(r.solver == "random-worlds" for r in responses)
+
+
+def _outcome(session, text):
+    """The answer to one submit, or the message of its ``RandomWorldsError``."""
+    try:
+        return session.submit(QueryRequest(query=text)).result
+    except RandomWorldsError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
+@pytest.mark.parametrize("name,factory,query_text", BENCHMARK_KBS, ids=[b[0] for b in BENCHMARK_KBS])
+def test_concurrent_submits_match_serial_submits(name, factory, query_text, memo):
+    kb = factory()
+    texts = repeated_for_threads([query_text, f"not ({query_text})"])
+
+    serial = open_session(kb, domain_sizes=DOMAIN_SIZES, memo=memo)
+    expected = [_outcome(serial, text) for text in texts]
+
+    session = open_session(kb, domain_sizes=DOMAIN_SIZES, memo=memo)
+    actual = run_concurrently([functools.partial(_outcome, session, text) for text in texts])
+    assert actual == expected
+    assert session.cache_info() == serial.cache_info()
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +306,7 @@ class TestRegistryDispatch:
 
 
 # ---------------------------------------------------------------------------
-# The legacy threads spelling: deprecation completed, now an error
+# The threads backend and the bare max_workers spelling are gone
 # ---------------------------------------------------------------------------
 
 
@@ -286,32 +314,23 @@ class TestLegacyThreadsRemoval:
     KB = "Jaun(Eric) and %(Hep(x) | Jaun(x); x) ~=[1] 0.8"
 
     def test_constructor_spelling_raises(self):
-        with pytest.raises(ValueError, match='backend="threads"'):
+        with pytest.raises(ValueError, match='backend="processes"'):
             RandomWorlds(max_workers=3)
-
-    def test_per_call_spelling_raises(self):
-        engine = RandomWorlds()
-        with pytest.raises(ValueError, match='backend="threads"'):
-            engine.degree_of_belief_batch(["Hep(Eric)", "Jaun(Eric)"], self.KB, max_workers=3)
+        with pytest.raises(ValueError, match="unknown counting backend 'threads'"):
+            open_session(self.KB, backend='threads')
 
     def test_engine_options_spelling_raises(self):
-        with pytest.raises(ValueError, match='backend="threads"'):
+        with pytest.raises(ValueError, match='backend="processes"'):
             EngineOptions(max_workers=3)
+        with pytest.raises(ValueError, match="unknown counting backend 'threads'"):
+            EngineOptions(backend='threads')
 
     def test_no_spurious_deprecation_warnings_remain(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            engine = RandomWorlds(backend="threads", max_workers=3)
-            engine.degree_of_belief_batch(["Hep(Eric)", "Jaun(Eric)"], self.KB)
+            with RandomWorlds(backend="processes", max_workers=3) as engine:
+                engine.degree_of_belief_batch(["Hep(Eric)", "Jaun(Eric)"], self.KB)
         assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
-
-    def test_explicit_threads_backend_matches_serial(self):
-        explicit = RandomWorlds(backend="threads", max_workers=3)
-        serial = RandomWorlds()
-        queries = ["Hep(Eric)", "Jaun(Eric)", "not Hep(Eric)"]
-        assert explicit.degree_of_belief_batch(queries, self.KB) == serial.degree_of_belief_batch(
-            queries, self.KB
-        )
 
 
 # ---------------------------------------------------------------------------

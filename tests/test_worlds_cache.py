@@ -8,10 +8,12 @@ base the benchmark suite exercises.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+from conftest import repeated_for_threads, run_concurrently
 
 from repro.core import KnowledgeBase, RandomWorlds
 from repro.core.engine import _unary_class_count
@@ -552,16 +554,17 @@ class TestBatch:
         assert [r.method for r in batch] == [r.method for r in sequential]
         assert [r.exists for r in batch] == [r.exists for r in sequential]
 
-    def test_batch_with_threads_matches_sequential(self):
+    def test_concurrent_batches_match_sequential(self):
         kb = paper_kbs.lottery(3)
-        # The bare max_workers spelling finished its deprecation cycle.
-        with pytest.raises(ValueError, match='backend="threads"'):
-            RandomWorlds(domain_sizes=(6, 8, 10), max_workers=4)
-        threaded = RandomWorlds(domain_sizes=(6, 8, 10), backend="threads", max_workers=4)
-        plain = RandomWorlds(domain_sizes=(6, 8, 10))
-        expected = plain.degree_of_belief_batch(BATCH_QUERIES, kb)
-        actual = threaded.degree_of_belief_batch(BATCH_QUERIES, kb)
-        assert [r.value for r in actual] == [r.value for r in expected]
+        callers = repeated_for_threads([BATCH_QUERIES])
+        sequential = RandomWorlds(domain_sizes=(6, 8, 10))
+        expected = [sequential.degree_of_belief_batch(queries, kb) for queries in callers]
+        shared = RandomWorlds(domain_sizes=(6, 8, 10))
+        batches = run_concurrently(
+            [functools.partial(shared.degree_of_belief_batch, queries, kb) for queries in callers]
+        )
+        assert batches == expected
+        assert shared.cache_info() == sequential.cache_info()
 
     def test_batch_shares_one_enumeration(self):
         kb = paper_kbs.lottery(3)

@@ -1,12 +1,13 @@
 """Cross-backend equality suite and tests for the counting executors.
 
-The load-bearing property of the backend abstraction is that ``serial``,
-``threads`` and ``processes`` are observationally identical: exact
-``Fraction`` counts, class order, and ``CacheInfo`` totals must not depend on
-which backend (or how many workers) produced them.  This file also holds the
-regression tests for the cache-concurrency fixes this abstraction leans on:
-the refcounted in-flight lock, the clear()-vs-in-flight interaction, and the
-negative cache for oversized decompositions.
+The load-bearing property of the backend abstraction is that ``serial`` and
+``processes`` are observationally identical: exact ``Fraction`` counts, class
+order, and ``CacheInfo`` totals must not depend on which backend (or how many
+workers) produced them, nor on whether the counts race from many threads on
+one shared cache, as the HTTP server's handler threads count for a session.
+This file also holds the regression tests for the cache-concurrency fixes this
+abstraction leans on: the refcounted in-flight lock, the clear()-vs-in-flight
+interaction, and the negative cache for oversized decompositions.
 
 Run ``pytest tests/test_worlds_parallel.py --backend processes
 --backend-workers 2`` to pin the suite to one backend (CI does this in a
@@ -15,15 +16,18 @@ dedicated matrix leg).
 
 from __future__ import annotations
 
+import functools
 import pickle
 import threading
 from fractions import Fraction
 
 import pytest
+from conftest import repeated_for_threads, run_concurrently
 from test_worlds_cache import BENCHMARK_KBS, _pick_domain_size
 
 from repro.core import RandomWorlds
 from repro.logic.parser import parse
+from repro.logic.syntax import Not
 from repro.logic.tolerance import ToleranceVector
 from repro.logic.vocabulary import Vocabulary
 from repro.workloads import paper_kbs
@@ -40,14 +44,12 @@ from repro.worlds.parallel import (
     PartialDecomposition,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     WorkUnit,
     compute_shard,
     executor_scope,
     make_executor,
     merge_counts,
     merge_partials,
-    resolve_backend,
 )
 
 TAU = ToleranceVector.uniform(0.1)
@@ -163,30 +165,20 @@ class TestShardMachinery:
 class TestExecutors:
     def test_make_executor_resolves_names(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("threads", 2), ThreadExecutor)
         assert isinstance(make_executor("processes", 2), ProcessExecutor)
         assert isinstance(make_executor(None), SerialExecutor)
         existing = SerialExecutor()
         assert make_executor(existing) is existing
-        with pytest.raises(ValueError):
-            make_executor("gpu")
-
-    def test_resolve_backend_legacy_max_workers(self):
-        assert resolve_backend(None, None) == "serial"
-        assert resolve_backend(None, 1) == "serial"
-        assert resolve_backend("processes", None) == "processes"
-        # The PR 4 deprecation completed: bare max_workers > 1 no longer
-        # implies threads — it is an error naming the explicit spelling.
-        with pytest.raises(ValueError, match='backend="threads"'):
-            resolve_backend(None, 4)
 
     def test_executor_scope_closes_owned_pools_only(self):
-        with executor_scope("threads", 2) as executor:
-            executor.map_ordered(lambda x: x + 1, [1, 2, 3])
+        kb = paper_kbs.hepatitis_simple()
+        units = [WorkUnit("unary", kb.vocabulary, kb.formula, 6, TAU, (), index, 2) for index in range(2)]
+        with executor_scope("processes", 2) as executor:
+            executor.run_units(units)
             assert executor._pool is not None
         assert executor._pool is None  # owned: closed on exit
-        external = ThreadExecutor(2)
-        external.map_ordered(lambda x: x, [1, 2])
+        external = ProcessExecutor(2)
+        external.run_units(units)
         with executor_scope(external) as passed_through:
             assert passed_through is external
         assert external._pool is not None  # caller-owned: left running
@@ -214,10 +206,15 @@ class TestExecutors:
         assert len(units) == 1
         executor.close()
 
-    def test_batch_reuses_a_caller_supplied_thread_executor(self):
+    def test_batch_reuses_a_caller_supplied_process_executor(self, monkeypatch):
+        import repro.worlds.parallel as parallel_module
+
+        # Even lottery(3)'s small grid points split into shards, so the
+        # caller's pool really does the work.
+        monkeypatch.setattr(parallel_module, "MIN_ITEMS_PER_SHARD", 1)
         kb = paper_kbs.lottery(3)
         queries = ["Winner(C)", "Ticket(C)", "not Winner(C)"]
-        shared = ThreadExecutor(max_workers=2)
+        shared = ProcessExecutor(max_workers=2)
         engine = RandomWorlds(domain_sizes=(6, 8), backend=shared)
         expected = RandomWorlds(domain_sizes=(6, 8)).degree_of_belief_batch(queries, kb)
         batch = engine.degree_of_belief_batch(queries, kb)
@@ -278,14 +275,26 @@ class TestExecutors:
             assert result.value == pytest.approx(1 / 3, abs=1e-3)
         engine.close()
 
-    def test_engine_rejects_unknown_backend(self):
+    @pytest.mark.parametrize("unknown", ['gpu', 'threads'])
+    def test_engine_rejects_unknown_backend(self, unknown):
+        with pytest.raises(ValueError, match="unknown counting backend"):
+            RandomWorlds(backend=unknown)
         with pytest.raises(ValueError):
-            RandomWorlds(backend="gpu")
+            make_executor(unknown)
 
 
 # ---------------------------------------------------------------------------
 # Cross-backend equality: every benchmark KB x query
 # ---------------------------------------------------------------------------
+
+
+def _assert_match_reference(results, reference) -> None:
+    for result in results:
+        assert result.satisfying_kb == reference.satisfying_kb
+        assert result.satisfying_both == reference.satisfying_both
+        if reference.is_defined:
+            assert isinstance(result.probability, Fraction)
+            assert result.probability == reference.probability
 
 
 @pytest.mark.parametrize(
@@ -312,17 +321,54 @@ def test_backend_counts_match_serial_reference(
     cold = counter.count(query, kb.formula, domain_size, TAU)
     warm = counter.count(query, kb.formula, domain_size, TAU)
 
-    for result in (cold, warm):
-        assert result.satisfying_kb == reference.satisfying_kb
-        assert result.satisfying_both == reference.satisfying_both
-        if reference.is_defined:
-            assert isinstance(result.probability, Fraction)
-            assert result.probability == reference.probability
+    _assert_match_reference((cold, warm), reference)
     info = cache.cache_info()
     assert (info.misses, info.hits) == (1, 1)  # identical totals on every backend
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
+@pytest.mark.parametrize(
+    "name,factory,query_text", BENCHMARK_KBS, ids=[entry[0] for entry in BENCHMARK_KBS]
+)
+def test_concurrent_counts_match_serial_reference(name, factory, query_text, memo):
+    """Counts racing from many threads on one cache match the serial reference.
+
+    A query and its negation are counted at once, each repeated so every
+    thread has a job.  The in-flight locks make the cache and memo totals
+    those of a serial run: one enumeration, and with the memo one evaluation
+    per distinct query.
+    """
+    kb = factory()
+    query = parse(query_text)
+    queries = [query, Not(query)]
+    vocabulary = kb.vocabulary.merge(Vocabulary.from_formulas([query]))
+    domain_size = _pick_domain_size(vocabulary)
+
+    reference_counter = make_counter(vocabulary)
+    references = [reference_counter.count(each, kb.formula, domain_size, TAU) for each in queries]
+
+    cache = WorldCountCache(memo=memo)
+    counter = make_counter(vocabulary, cache=cache)
+    jobs = repeated_for_threads(list(range(len(queries))))
+    results = run_concurrently(
+        [functools.partial(counter.count, queries[job], kb.formula, domain_size, TAU) for job in jobs]
+    )
+
+    for job, result in zip(jobs, results):
+        _assert_match_reference([result], references[job])
+    info = cache.cache_info()
+    if memo:
+        assert (info.misses, info.hits) == (1, len(queries) - 1)
+        assert (info.memo_misses, info.memo_hits, info.memo_entries) == (
+            len(queries),
+            len(jobs) - len(queries),
+            len(queries),
+        )
+    else:
+        assert (info.misses, info.hits) == (1, len(jobs) - 1)
+
+
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 def test_engine_batch_identical_across_backends(backend, backend_workers):
     """The batch API returns identical answers and cache totals per backend."""
     kb = paper_kbs.lottery(3)
@@ -344,6 +390,25 @@ def test_engine_batch_identical_across_backends(backend, backend_workers):
     assert info.hits == grid_points * (len(queries) - 1)
 
 
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "memoless"])
+def test_engine_answers_identical_under_concurrent_calls(memo):
+    """One engine answering from many threads at once matches a serial engine.
+
+    Answers and every ``CacheInfo`` total equal those of the same calls made
+    in order.
+    """
+    kb = paper_kbs.lottery(3)
+    queries = repeated_for_threads(["Winner(C)", "Ticket(C)", "exists x. Winner(x)", "not Winner(C)"])
+    serial_engine = RandomWorlds(domain_sizes=(6, 8), memo=memo)
+    expected = [serial_engine.degree_of_belief(query, kb) for query in queries]
+
+    engine = RandomWorlds(domain_sizes=(6, 8), memo=memo)
+    results = run_concurrently([functools.partial(engine.degree_of_belief, query, kb) for query in queries])
+
+    assert results == expected
+    assert engine.cache_info() == serial_engine.cache_info()
+
+
 def test_counting_curve_backends_agree(executor_for, counting_backend):
     kb = paper_kbs.hepatitis_simple()
     query = parse("Hep(Eric)")
@@ -358,6 +423,29 @@ def test_counting_curve_backends_agree(executor_for, counting_backend):
         backend=executor_for(counting_backend),
     )
     assert other.probabilities == serial.probabilities
+
+
+def test_counting_curves_agree_under_concurrent_calls():
+    """Curves counted at once on one shared cache equal a cache-less curve."""
+    kb = paper_kbs.hepatitis_simple()
+    query = parse("Hep(Eric)")
+    vocabulary = kb.vocabulary.merge(Vocabulary.from_formulas([query]))
+    serial = counting_curve(query, kb.formula, vocabulary, (6, 8, 10), TAU)
+    cache = WorldCountCache(memo=True)
+    # Half the curves walk the domain sizes backwards, so the threads also
+    # race for the grid points in opposite orders.
+    schedules = repeated_for_threads([(6, 8, 10), (10, 8, 6)])
+    curves = run_concurrently(
+        [
+            functools.partial(counting_curve, query, kb.formula, vocabulary, sizes, TAU, cache=cache)
+            for sizes in schedules
+        ]
+    )
+    for sizes, curve in zip(schedules, curves):
+        by_size = dict(zip(sizes, curve.probabilities))
+        assert tuple(by_size[n] for n in (6, 8, 10)) == serial.probabilities
+    info = cache.cache_info()
+    assert (info.misses, info.memo_misses) == (3, 3)  # one enumeration per domain size
 
 
 def test_degree_of_belief_by_counting_processes_backend(shared_process_executor):
@@ -376,21 +464,6 @@ def test_degree_of_belief_by_counting_processes_backend(shared_process_executor)
     assert parallel.exists == serial.exists
     for serial_curve, parallel_curve in zip(serial.curves, parallel.curves):
         assert parallel_curve.probabilities == serial_curve.probabilities
-
-
-def test_legacy_max_workers_without_backend_raises():
-    """The PR 4 deprecation completed: the implied-threads spelling is gone."""
-    kb = paper_kbs.hepatitis_simple()
-    query = parse("Hep(Eric)")
-    vocabulary = kb.vocabulary.merge(Vocabulary.from_formulas([query]))
-    with pytest.raises(ValueError, match='backend="threads"'):
-        counting_curve(query, kb.formula, vocabulary, (6, 8, 10), TAU, max_workers=3)
-    # The explicit spelling still matches the serial reference exactly.
-    threaded = counting_curve(
-        query, kb.formula, vocabulary, (6, 8, 10), TAU, backend="threads", max_workers=3
-    )
-    serial = counting_curve(query, kb.formula, vocabulary, (6, 8, 10), TAU)
-    assert threaded.probabilities == serial.probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +504,7 @@ def test_eval_sharding_matches_serial_reference(
     cold = counter.count(query, kb.formula, domain_size, TAU)
     warm = counter.count(query, kb.formula, domain_size, TAU)  # memo O(1) hit
 
-    for result in (cold, warm):
-        assert result.satisfying_kb == reference.satisfying_kb
-        assert result.satisfying_both == reference.satisfying_both
-        if reference.is_defined:
-            assert isinstance(result.probability, Fraction)
-            assert result.probability == reference.probability
+    _assert_match_reference((cold, warm), reference)
     info = cache.cache_info()
     # deterministic on every backend: one enumeration, one evaluation, one
     # memo row; the repeat never reaches the decomposition entries at all
@@ -513,11 +581,11 @@ def test_engine_batch_memo_counters_identical_across_backends(backend_workers):
     kb = paper_kbs.lottery(3)
     queries = ["Winner(C)", "Ticket(C)", "Winner(C)", "not Winner(C)", "Ticket(C)"]
     infos = {}
-    for backend in ("serial", "threads", "processes"):
+    for backend in ("serial", "processes"):
         with RandomWorlds(domain_sizes=(6, 8), backend=backend, max_workers=backend_workers) as engine:
             engine.degree_of_belief_batch(queries, kb)
             infos[backend] = engine.cache_info()
-    assert infos["serial"] == infos["threads"] == infos["processes"]
+    assert infos["serial"] == infos["processes"]
     grid_points = 2 * len(tuple(RandomWorlds(domain_sizes=(6, 8)).tolerances))
     distinct = 3
     info = infos["serial"]
